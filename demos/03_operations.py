@@ -2,10 +2,12 @@
 
 The rank-k operation takes a class over the rank-k elementary abelian
 2-group and a class over G, and raises degree by deg(a) + dim(G)(2^k-1).
-Its closed forms: divided-power multiplication for Z/2 and dihedral
-targets, the matrix-count sum for higher elementary abelian targets, the
-halving map for the circle, the quotient module action for SU(2), and
-the diagonal coproduct for products.
+Every such operation is multiplication by a class C(a) that depends only
+on a: a divided-power product for Z/2 and dihedral targets, the
+matrix-count sum for higher elementary abelian targets, the halving map
+for the circle, the quotient module action for SU(2), and the diagonal
+coproduct for products.  So the operation is nonzero exactly when it is
+nonzero on the unit class.
 """
 
 from bgops import (
@@ -24,6 +26,7 @@ from bgops import (
     alpha_z2power_bruteforce,
     composite_op,
     make_product,
+    multiplier,
     nontrivial_witness,
     phi_sigma,
 )
@@ -52,6 +55,15 @@ print("SU2, k=1:  x^[1] (x) u_0    ->", alpha(su2, 1, DPClass.monomial(V1, (1,))
 mixed = make_product([Z2Power(1), Torus(1)])
 print("Z/2 x T^1: x^[3] (x) 1(x)1  ->", alpha(mixed, 1, DPClass.monomial(V1, (3,)), CoefficientClass.unit(mixed)))
 
+# the multiplier class, and the operation as multiplication by it
+c = multiplier(mixed, 1, DPClass.monomial(V1, (3,)))
+b = CoefficientClass.tensor(
+    CoefficientClass.from_dp(Z2Power(1), DPClass.monomial(GeneratorSet.z2_basis(1), (4,))),
+    CoefficientClass.unit(Torus(1)),
+)
+print("C(x^[3]) on Z/2 x T^1       =", c)
+print("alpha == C(a) * b on x^[4](x)1:", alpha(mixed, 1, DPClass.monomial(V1, (3,)), b) == c * b)
+
 # pairs with no computed closed form raise instead of returning zero
 try:
     alpha(su2, 2, DPClass.monomial(V2, (1, 1)), CoefficientClass.unit(su2))
@@ -77,7 +89,7 @@ print("weight 3 vanishes:", phi_sigma(z2, 3, SymClass.from_terms([[CircWord.of(1
 factors = [(2, SymClass.single(CircWord.of(1))), (2, SymClass.single(CircWord.of(2)))]
 print("composite (E1, E2) on 1:", composite_op(z2, factors, CoefficientClass.unit(z2)))
 
-# --- nontriviality detection ----------------------------------------------------
+# --- nontriviality: one evaluation at the unit ----------------------------------
 
 for n in (4, 5, 6):
     res = nontrivial_witness(su2, 1, DPClass.monomial(V1, (n,)))

@@ -66,6 +66,6 @@ print(json.dumps(doc, indent=2, sort_keys=True)[:600], "...")
 image, offset = stable_image([(2, E[1]), (2, E[2])], 3)
 print("\nstable image of (E1, E2) for a degree-3 class:", image, " L =", offset)
 
-# an inconclusive search is reported as such, never as a triviality proof
-result = build_certificate(Target.HOL_ORDINARY, Torus(1), [(2, E[2])], degree_bound=6)
+# a composite that is zero on the unit is zero on every class: a proof
+result = build_certificate(Target.HOL_ORDINARY, Torus(1), [(2, E[2])])
 print("\neven circle powers give no witness:", result.reason)

@@ -20,10 +20,8 @@ from .operations import (
     GroupDescriptor,
     GroupHypothesisError,
     Z2Power,
-    coefficient_basis,
     composite_op,
     format_group,
-    group_dim,
     is_abelian,
     is_elementary_abelian_2,
     is_even_or_positive_dimensional,
@@ -254,13 +252,12 @@ class Certificate:
 
 @dataclass(frozen=True)
 class FailureReport:
-    """No witness found within the search bound; inconclusive, not a proof."""
+    """A certified vanishing: the composite is zero on every coefficient class."""
 
     target: Target
     group: GroupDescriptor
     factors: tuple[tuple[int, SymClass], ...]
-    degree_bound: int
-    reason: str = "no nonzero witness found within the degree bound"
+    reason: str = "the composite vanishes on the unit class, hence on every class"
 
     def to_json(self) -> dict:
         return {
@@ -270,52 +267,40 @@ class FailureReport:
             "reason": self.reason,
             "group": format_group(self.group),
             "factors": [{"n": n, "a": a.to_json()} for n, a in self.factors],
-            "degree_bound": self.degree_bound,
         }
-
-
-def default_certificate_bound(
-    group: GroupDescriptor, factors: Sequence[tuple[int, SymClass]]
-) -> int:
-    total_degree = sum(a.homogeneous_degree() for _, a in factors if a.terms)
-    total_rank = sum(n - 1 for n, _ in factors)
-    return total_degree + group_dim(group) * total_rank + 8
 
 
 def build_certificate(
     target: Target | str,
     group: GroupDescriptor,
     factors: Sequence[tuple[int, SymClass]],
-    degree_bound: int | None = None,
 ) -> Certificate | FailureReport:
-    """Search for a nonzero witness and emit a certificate.
+    """Evaluate the composite on the unit class and emit a certificate.
 
-    Coefficient classes are tried in the canonical basis by increasing
-    degree, lexicographically within a degree, so emitted certificates
-    are reproducible.  A missing witness yields a FailureReport, which is
-    inconclusive rather than a proof of triviality.
+    The composite is multiplication by the product of the factors'
+    multipliers (see ``operations.multiplier``), so its value on the unit
+    decides nonvanishing: a nonzero value is certified with the unit as
+    coefficient, and a zero value yields a FailureReport, which proves
+    that no coefficient class gives a nonzero value.
     """
     target = Target(target)
     _check_hypothesis(target, group)
     factors = tuple((int(n), a) for n, a in factors)
-    if degree_bound is None:
-        degree_bound = default_certificate_bound(group, factors)
     class_degree = sum(a.homogeneous_degree() for _, a in factors)
-    for d in range(degree_bound + 1):
-        for b in coefficient_basis(group, d):
-            value = composite_op(group, factors, b)
-            if not value.is_zero():
-                return Certificate(
-                    target=target,
-                    group=group,
-                    factors=factors,
-                    rank=sum(n - 1 for n, _ in factors),
-                    degree=_certificate_degree(target, class_degree),
-                    coefficient=b,
-                    output=value,
-                    stability=_stability_for(target, factors, class_degree),
-                )
-    return FailureReport(target, group, factors, degree_bound)
+    unit = CoefficientClass.unit(group)
+    value = composite_op(group, factors, unit)
+    if value.is_zero():
+        return FailureReport(target, group, factors)
+    return Certificate(
+        target=target,
+        group=group,
+        factors=factors,
+        rank=sum(n - 1 for n, _ in factors),
+        degree=_certificate_degree(target, class_degree),
+        coefficient=unit,
+        output=value,
+        stability=_stability_for(target, factors, class_degree),
+    )
 
 
 def stable_image(

@@ -1,7 +1,8 @@
 """Command line interface with JSON input and output.
 
-Exit codes: 0 for success with a nonzero result, 1 for a zero result or
-an absent witness, 2 for errors (bad input, unsupported operation,
+Exit codes: 0 for success with a nonzero result, 1 for a zero result
+(including a certified trivial witness and a certified vanishing
+from ``certify``), 2 for errors (bad input, unsupported operation,
 violated hypothesis).
 """
 
@@ -130,34 +131,23 @@ def _cmd_acount(args) -> int:
 def _cmd_witness(args) -> int:
     group = parse_group(args.group)
     a = _input_dp_class(_load_doc(args, args.a, "a", "the source class"), args.k)
-    result = nontrivial_witness(group, args.k, a, args.degree_bound)
-    if result.witness is not None:
-        _emit(
-            args,
-            f"witness: {result.witness}",
-            {"witness": result.witness.to_json(), "certified_trivial": False},
-        )
-        return EXIT_NONZERO
-    human = "trivial (certified)" if result.certified_trivial else (
-        f"no witness found up to degree {result.degree_bound} (inconclusive)"
-    )
+    result = nontrivial_witness(group, args.k, a)
+    if result.witness is None:
+        _emit(args, "trivial (certified)", {"witness": None, "certified_trivial": True})
+        return EXIT_ZERO
     _emit(
         args,
-        human,
-        {
-            "witness": None,
-            "certified_trivial": result.certified_trivial,
-            "degree_bound": result.degree_bound,
-        },
+        f"witness: {result.witness}",
+        {"witness": result.witness.to_json(), "certified_trivial": False},
     )
-    return EXIT_ZERO
+    return EXIT_NONZERO
 
 
 def _cmd_certify(args) -> int:
     group = parse_group(args.group)
     docs = _load_doc(args, args.factors, "factors", "the factor list")
     factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
-    result = build_certificate(Target(args.target), group, factors, args.degree_bound)
+    result = build_certificate(Target(args.target), group, factors)
     if isinstance(result, FailureReport):
         _emit(args, f"failure: {result.reason}", result.to_json())
         return EXIT_ZERO
@@ -242,7 +232,7 @@ def _oracle_checks(degree_bound: int):
 def _cmd_oracle_check(args) -> int:
     all_ok = True
     results = []
-    for name, params, ok in _oracle_checks(args.degree_bound or 4):
+    for name, params, ok in _oracle_checks(args.degree_bound):
         all_ok &= ok
         results.append({"check": name, "params": params, "pass": ok})
         if not args.json:
@@ -269,14 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="string topology operations on mod-2 homology of classifying spaces",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--degree-bound", type=int, default=None, help="search bound")
     parser.add_argument("--in", dest="infile", metavar="PATH", default=None,
                         help="JSON object supplying inputs by name (a, b, factors)")
     # the global flags are accepted before or after the subcommand; SUPPRESS
     # keeps the subcommand position from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--degree-bound", type=int, default=argparse.SUPPRESS)
     common.add_argument(
         "--in",
         dest="infile",
@@ -312,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("parity", "exact"), default="parity")
     p.set_defaults(func=_cmd_acount)
 
-    p = sub.add_parser("witness", parents=[common], help="search for a nontriviality witness")
+    p = sub.add_parser("witness", parents=[common], help="decide nontriviality by evaluating on the unit")
     p.add_argument("--group", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--a")
@@ -335,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stable_image)
 
     p = sub.add_parser("oracle-check", parents=[common], help="run the oracle self-check battery")
+    p.add_argument("--degree-bound", type=int, default=4,
+                   help="top degree of the closed-form comparisons")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("t3-verify", parents=[common], help="the equivariant 3-torus boundary identity")

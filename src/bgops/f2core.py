@@ -78,9 +78,6 @@ class F2Matrix:
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols, (0,) * rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def column(self, j: int) -> int:
         """Column j as a bitmask over row indices."""
         out = 0
@@ -88,9 +85,6 @@ class F2Matrix:
             if (r >> j) & 1:
                 out |= 1 << i
         return out
-
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
     def apply(self, v: int) -> int:
         """Matrix times column vector; v is a bitmask over columns."""
@@ -163,25 +157,6 @@ def f2_rank_kernel(m: F2Matrix) -> tuple[int, tuple[int, ...]]:
                 v |= 1 << p
         kernel.append(v)
     return len(pivots), tuple(kernel)
-
-
-def f2_solve(m: F2Matrix, target: int) -> int | None:
-    """One solution x of m @ x == target, or None if inconsistent.
-
-    ``target`` is a bitmask over row indices; the returned x is a bitmask
-    over column indices with free variables set to zero.
-    """
-    if target < 0 or target >> m.rows:
-        raise ValueError("target out of range for row count")
-    aug = [row | (((target >> i) & 1) << m.cols) for i, row in enumerate(m.data)]
-    rref, pivots = _rref(aug, m.cols + 1)
-    x = 0
-    for row, p in zip(rref, pivots):
-        if p == m.cols:
-            return None
-        if (row >> m.cols) & 1:
-            x |= 1 << p
-    return x
 
 
 class SpanSolver:

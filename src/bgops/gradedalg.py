@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .f2core import F2Matrix
 
@@ -132,9 +132,6 @@ class DPClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, parity: int) -> "DPClass":
-        return self if parity & 1 else DPClass.zero(self.gens)
-
     def degrees(self) -> set[int]:
         return {self.gens.monomial_degree(t) for t in self.terms}
 
@@ -228,7 +225,7 @@ def _sum_power(rows_mask: int, n: int, l: int) -> frozenset[DPMonomial]:
     if not positions:
         return frozenset() if n > 0 else frozenset({(0,) * l})
     out = set()
-    for comp in _compositions(n, len(positions)):
+    for comp in compositions(n, len(positions)):
         mono = [0] * l
         for pos, c in zip(positions, comp):
             mono[pos] = c
@@ -236,17 +233,18 @@ def _sum_power(rows_mask: int, n: int, l: int) -> frozenset[DPMonomial]:
     return frozenset(out)
 
 
-def _compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to n."""
+def compositions(n: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` integers >= minimum summing to n, in lex order."""
     if parts == 0:
         if n == 0:
             yield ()
         return
     if parts == 1:
-        yield (n,)
+        if n >= minimum:
+            yield (n,)
         return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
+    for first in range(minimum, n - minimum * (parts - 1) + 1):
+        for rest in compositions(n - first, parts - 1, minimum):
             yield (first,) + rest
 
 

@@ -1,8 +1,8 @@
 """Closed-form string topology operations on mod-2 homology of BG.
 
 For each supported coefficient group G the operation indexed by a class
-a over the rank-k elementary abelian 2-group and a class b over G is
-evaluated through the computed closed forms:
+a over the rank-k elementary abelian 2-group is multiplication by a class
+C(a) of H_*(BG) (``multiplier``), built from the computed closed forms:
 
 * elementary abelian targets: either the matrix-count fast path (the
   A-counting function below) or, as an internal oracle, the sum of
@@ -13,6 +13,9 @@ evaluated through the computed closed forms:
 * the circle (k <= 2) and SU(2) (k <= 1): explicit one-line formulas;
 * finite products and higher tori: reduction to the factors through the
   diagonal coproduct.
+
+The value at a (x) b is C(a) * b, so an operation is nonzero on some b
+exactly when it is nonzero on the unit class.
 
 Unsupported (group, k) pairs raise UnsupportedOperationError rather than
 silently returning zero.
@@ -30,7 +33,9 @@ from .gradedalg import (
     DPMonomial,
     GeneratorSet,
     SU2Class,
+    _monomial_product,
     beta_push,
+    compositions,
     dp_coproduct,
     dp_multiply,
     linear_push,
@@ -286,24 +291,29 @@ def _factor_basis(g: GroupDescriptor, degree: int) -> list[FactorMonomial]:
     gens = factor_generators(g)
     if gens is None:
         return [degree // 4] if degree % 4 == 0 else []
-    if len(gens) == 0:
-        return [()] if degree == 0 else []
     d = gens.degrees[0]
     if degree % d:
         return []
+    return list(compositions(degree // d, len(gens)))
+
+
+def _term_product(s: TensorTerm, t: TensorTerm) -> TensorTerm | None:
+    """Product of two basis tensors, or None when a coefficient is even.
+
+    Divided-power factors multiply by the divided-power rule.  On SU(2)
+    the same rule is applied to the lifts u_m -> x^[4m]: the product
+    u_m u_n is u_(m+n) when m and n share no binary 1, and 0 otherwise.
+    """
     out = []
-    for comp in _compositions_lex(degree // d, len(gens)):
-        out.append(comp)
-    return out
-
-
-def _compositions_lex(n: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions_lex(n - first, parts - 1):
-            yield (first,) + rest
+    for m, n in zip(s, t):
+        if isinstance(m, int):
+            p = None if m & n else m + n  # type: ignore[operator]
+        else:
+            p = _monomial_product(m, n)  # type: ignore[arg-type]
+        if p is None:
+            return None
+        out.append(p)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -383,6 +393,18 @@ class CoefficientClass:
         if self.group != other.group:
             raise ValueError("cannot add classes over different groups")
         return CoefficientClass(self.group, self.terms ^ other.terms)
+
+    def __mul__(self, other: "CoefficientClass") -> "CoefficientClass":
+        """Product in H_*(BG): commutative, associative, with unit ``unit``."""
+        if self.group != other.group:
+            raise ValueError("cannot multiply classes over different groups")
+        acc: set[TensorTerm] = set()
+        for s in self.terms:
+            for t in other.terms:
+                p = _term_product(s, t)
+                if p is not None:
+                    acc ^= {p}
+        return CoefficientClass(self.group, frozenset(acc))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -568,91 +590,112 @@ def _check_input_class(a: DPClass, k: int) -> None:
         raise ValueError(f"input class must live over {k} degree-1 generators")
 
 
-def alpha(
-    g: GroupDescriptor, k: int, a: DPClass, b: CoefficientClass
-) -> CoefficientClass:
-    """The rank-k operation on H_*(BG) evaluated at a (x) b.
+def multiplier(g: GroupDescriptor, k: int, a: DPClass) -> CoefficientClass:
+    """The class C(a) with alpha(g, k, a, b) = C(a) * b for every b.
 
-    ``a`` is a class over k degree-1 generators; ``b`` a class over G.
-    Bilinear; on homogeneous inputs the output degree is
-    deg(a) + deg(b) + dim(G) (2^k - 1).
+    Per atomic factor of G, for a monomial a with exponents (n_1, ..., n_k):
+
+    * Z/2 and dihedral targets: x^[n_1 + ... + n_k] when every n_j > 0 and
+      the multinomial coefficient is odd, else 0;
+    * Z/2^l, l > 1: the sum of t_1^[c_1] ... t_l^[c_l] over the column
+      sums c whose matrix count A_count(n, c) is odd;
+    * the circle: the halving map applied to x^[n + 1] (k = 1), or to
+      x^[n_1 + n_2 + 3] when C(n_1 + n_2 + 2, n_1 + 1) is even (k = 2);
+    * SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0.
+
+    A product, or a torus of rank l as a product of l circles, splits a
+    through the diagonal coproduct: C(a) = sum of C_head(a') (x) C_tail(a'').
+    At k = 0, C(a) is the unit when a is, and 0 otherwise.
+
+    Multiplication on H_*(BG) is commutative and associative with unit 1,
+    so alpha(g, k, a, 1) = C(a), and alpha(g, k, a, -) is zero exactly when
+    C(a) is: if C(a) = 0 then C(a) * b = 0 for every b, and otherwise b = 1
+    is a witness.  The same holds for a composite, whose value on b is the
+    product of its multipliers times b, by associativity.
     """
-    if b.group != g:
-        raise ValueError("coefficient class group does not match the descriptor")
     if k < 0:
         raise ValueError("k must be non-negative")
     require_supported(g, k)
     _check_input_class(a, k)
-
     if k == 0:
         # a is a scalar multiple of the unit class over zero generators
-        return b if () in a.terms else CoefficientClass.zero(g)
-
-    if isinstance(g, (Z2Power, Dihedral)) and (isinstance(g, Dihedral) or g.l == 1):
-        return _alpha_rank_one(g, a, b)
+        return CoefficientClass.unit(g) if () in a.terms else CoefficientClass.zero(g)
+    if isinstance(g, Dihedral) or (isinstance(g, Z2Power) and g.l == 1):
+        return _rank_one_multiplier(g, a)
     if isinstance(g, Z2Power):
-        return _alpha_z2power_fast(g, a, b)
-    if isinstance(g, Torus) and g.l == 1:
-        return _alpha_torus1(g, k, a, b)
+        return _z2power_multiplier(g, a)
     if isinstance(g, SU2):
-        return _alpha_su2(g, a, b)
+        return _su2_multiplier(g, a)
+    if isinstance(g, Torus) and g.l == 1:
+        return _circle_multiplier(g, k, a)
     if isinstance(g, Torus):
-        factors = tuple(Torus(1) for _ in range(g.l))
-        tensor_terms = frozenset(
-            tuple((e,) for e in t[0]) for t in b.terms  # type: ignore[index]
-        )
-        result = _alpha_product(factors, k, a, tensor_terms)
-        back: set[TensorTerm] = set()
-        for term in result:
-            back ^= {(tuple(m[0] for m in term),)}  # type: ignore[index]
-        return CoefficientClass(g, frozenset(back))
+        # as a product of l circles: (e_1) (x) ... (x) (e_l) is y1^[e_1]...yl^[e_l]
+        terms = _coproduct_terms((Torus(1),) * g.l, k, a)
+        return CoefficientClass(g, frozenset((tuple(e for (e,) in t),) for t in terms))
     assert isinstance(g, ProductGroup)
-    return CoefficientClass(g, frozenset(_alpha_product(g.factors, k, a, b.terms)))
+    return CoefficientClass(g, frozenset(_coproduct_terms(g.factors, k, a)))
 
 
-def _alpha_rank_one(g: GroupDescriptor, a: DPClass, b: CoefficientClass) -> CoefficientClass:
-    """Z/2 target (and dihedral targets, transported): multiplication rule.
+def _coproduct_terms(
+    factors: tuple[GroupDescriptor, ...], k: int, a: DPClass
+) -> set[TensorTerm]:
+    """Product formula: split a through the diagonal coproduct.
 
-    A monomial with exponents (n_1, ..., n_k) acts as multiplication by
-    x^[n_1] ... x^[n_k] when all n_j > 0, and by 0 otherwise.
+    Left-nested: the first factor receives the left coproduct leg, the
+    remaining factors recurse on the right leg, and the factor terms are
+    concatenated.  Over GF(2) the twist map contributes no signs.
     """
-    gens = factor_generators(g)
-    assert gens is not None
-    acc = DPClass.zero(gens)
+    head, tail = factors[0], factors[1:]
+    if not tail:
+        return set(multiplier(head, k, a).terms)
+    out: set[TensorTerm] = set()
     for mono in a.terms:
-        if any(e == 0 for e in mono):
-            continue
-        if multinomial_parity(mono):
-            acc += DPClass.monomial(gens, (sum(mono),))
-    return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
+        for left, right in dp_coproduct(mono):
+            heads = multiplier(head, k, DPClass.monomial(a.gens, left)).terms
+            if not heads:
+                continue
+            rest = _coproduct_terms(tail, k, DPClass.monomial(a.gens, right))
+            for s in heads:
+                for t in rest:
+                    out ^= {s + t}
+    return out
 
 
-def _alpha_z2power_fast(g: Z2Power, a: DPClass, b: CoefficientClass) -> CoefficientClass:
+def alpha(
+    g: GroupDescriptor, k: int, a: DPClass, b: CoefficientClass
+) -> CoefficientClass:
+    """The rank-k operation on H_*(BG) evaluated at a (x) b: C(a) * b.
+
+    ``a`` is a class over k degree-1 generators; ``b`` a class over G; C(a)
+    is ``multiplier(g, k, a)``.  Bilinear; on homogeneous inputs the output
+    degree is deg(a) + deg(b) + dim(G) (2^k - 1).
+    """
+    if b.group != g:
+        raise ValueError("coefficient class group does not match the descriptor")
+    return multiplier(g, k, a) * b
+
+
+def _rank_one_multiplier(g: GroupDescriptor, a: DPClass) -> CoefficientClass:
+    """Z/2 target (and dihedral targets, transported)."""
+    acc: set[TensorTerm] = set()
+    for mono in a.terms:
+        if all(e > 0 for e in mono) and multinomial_parity(mono):
+            acc ^= {((sum(mono),),)}
+    return CoefficientClass(g, frozenset(acc))
+
+
+def _z2power_multiplier(g: Z2Power, a: DPClass) -> CoefficientClass:
     """Rank-l elementary abelian target via the matrix-count fast path."""
-    gens = factor_generators(g)
-    assert gens is not None
-    l = g.l
-    acc = DPClass.zero(gens)
+    acc: set[TensorTerm] = set()
     for mono in a.terms:
         if any(e == 0 for e in mono):
             continue
-        total = sum(mono)
         # every column carries len(mono) positive entries, so its sum is at
         # least that; smaller compositions cannot contribute
-        for cols in _compositions_at_least(total, l, len(mono)):
+        for cols in compositions(sum(mono), g.l, len(mono)):
             if A_count(mono, cols, "parity"):
-                acc += DPClass.monomial(gens, cols)
-    return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
-
-
-def _compositions_at_least(n: int, parts: int, minimum: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        if n >= minimum:
-            yield (n,)
-        return
-    for first in range(minimum, n - minimum * (parts - 1) + 1):
-        for rest in _compositions_at_least(n - first, parts - 1, minimum):
-            yield (first,) + rest
+                acc ^= {(cols,)}
+    return CoefficientClass(g, frozenset(acc))
 
 
 def alpha_z2power_bruteforce(
@@ -673,65 +716,27 @@ def alpha_z2power_bruteforce(
     return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
 
 
-def _alpha_torus1(g: Torus, k: int, a: DPClass, b: CoefficientClass) -> CoefficientClass:
+def _circle_multiplier(g: Torus, k: int, a: DPClass) -> CoefficientClass:
     gens = factor_generators(g)
     assert gens is not None
-    vgens = a.gens
     acc = DPClass.zero(gens)
     if k == 1:
         for (n,) in a.terms:
-            acc += beta_push(DPClass.monomial(vgens, (n + 1,)), gens)
+            acc += beta_push(DPClass.monomial(a.gens, (n + 1,)), gens)
     else:
         assert k == 2
         one_gen = GeneratorSet.v_basis(1)
         for n1, n2 in a.terms:
-            coeff = 1 ^ binom_parity(n1 + n2 + 2, n1 + 1)
-            if coeff:
+            if not binom_parity(n1 + n2 + 2, n1 + 1):
                 acc += beta_push(DPClass.monomial(one_gen, (n1 + n2 + 3,)), gens)
-    return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
+    return CoefficientClass.from_dp(g, acc)
 
 
-def _alpha_su2(g: SU2, a: DPClass, b: CoefficientClass) -> CoefficientClass:
-    one_gen = GeneratorSet.v_basis(1)
+def _su2_multiplier(g: SU2, a: DPClass) -> CoefficientClass:
     out = SU2Class.zero()
     for (n,) in a.terms:
-        out += su2_act(DPClass.monomial(one_gen, (n + 3,)), b.as_su2())
+        out += su2_act(DPClass.monomial(a.gens, (n + 3,)), SU2Class.unit())
     return CoefficientClass.from_su2(g, out)
-
-
-def _alpha_product(
-    factors: tuple[GroupDescriptor, ...],
-    k: int,
-    a: DPClass,
-    tensor_terms: frozenset[TensorTerm],
-) -> set[TensorTerm]:
-    """Product formula: split a through the diagonal coproduct.
-
-    Left-nested: the first factor receives the left coproduct leg, the
-    remaining factors recurse on the right leg.  Over GF(2) the twist
-    map contributes no signs.
-    """
-    head, tail = factors[0], factors[1:]
-    if not tail:
-        b_head = CoefficientClass(head, frozenset(tensor_terms))
-        return set(alpha(head, k, a, b_head).terms)
-
-    out: set[TensorTerm] = set()
-    vgens = a.gens
-    for mono in a.terms:
-        for left, right in dp_coproduct(mono):
-            for term in tensor_terms:
-                b1 = CoefficientClass(head, frozenset({term[:1]}))
-                r1 = alpha(head, k, DPClass.monomial(vgens, left), b1)
-                if r1.is_zero():
-                    continue
-                rest = _alpha_product(
-                    tail, k, DPClass.monomial(vgens, right), frozenset({term[1:]})
-                )
-                for t1 in r1.terms:
-                    for t2 in rest:
-                        out ^= {t1 + t2}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +808,8 @@ def composite_op(
 ) -> CoefficientClass:
     """Composite of weight-n_i operations, rightmost factor applied first.
 
-    Total degree shift dim(G) * sum(n_i - 1).
+    Each factor multiplies by a class, so the composite is multiplication
+    by their product.  Total degree shift dim(G) * sum(n_i - 1).
     """
     out = b
     for n, a in reversed(list(factors)):
@@ -812,81 +818,33 @@ def composite_op(
 
 
 # ---------------------------------------------------------------------------
-# nontriviality search
+# nontriviality
 
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of a witness search.
+    """Outcome of ``nontrivial_witness``.
 
-    ``witness`` is a basis class b with a nonzero operation value, or
-    None.  When None, ``certified_trivial`` distinguishes a proof of
-    vanishing (a closed-form detector fired) from an inconclusive search
-    up to ``degree_bound``.
+    ``witness`` is the unit class when the operation is nonzero, or None
+    when it vanishes on every class, which ``multiplier`` proves from its
+    value on the unit.
     """
 
     witness: CoefficientClass | None
-    certified_trivial: bool
-    degree_bound: int
+
+    @property
+    def certified_trivial(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.witness is not None
 
 
-def default_witness_bound(g: GroupDescriptor, k: int, a: DPClass) -> int:
-    top = max(a.degrees(), default=0)
-    return top + group_dim(g) * (1 << k) + 8
+def nontrivial_witness(g: GroupDescriptor, k: int, a: DPClass) -> WitnessResult:
+    """A class b with a nonzero operation value, or a proof that none exists.
 
-
-def nontrivial_witness(
-    g: GroupDescriptor, k: int, a: DPClass, degree_bound: int | None = None
-) -> WitnessResult:
-    """Search for a canonical basis element b with a nonzero operation value.
-
-    Closed-form detectors short-circuit the search for single monomials
-    over Z/2-type targets (positivity and pairwise bit-disjointness of
-    the exponents), SU(2) at k = 1 (n = 1 mod 4) and the circle at k = 1
-    (n odd); for these a negative answer proves the operation trivial.
-    Otherwise an absent witness only reports an inconclusive search.
+    The operation is multiplication by ``multiplier(g, k, a)``, so one
+    evaluation at the unit decides it for every b.
     """
-    require_supported(g, k)
-    _check_input_class(a, k)
-    if degree_bound is None:
-        degree_bound = default_witness_bound(g, k, a)
-
-    if len(a.terms) == 1 and k >= 1:
-        (mono,) = a.terms
-        detected = _detect_monomial(g, k, mono)
-        if detected is not None:
-            certified, witness = detected
-            if witness is not None:
-                return WitnessResult(witness, False, degree_bound)
-            if certified:
-                return WitnessResult(None, True, degree_bound)
-
-    for d in range(degree_bound + 1):
-        for b in coefficient_basis(g, d):
-            if not alpha(g, k, a, b).is_zero():
-                return WitnessResult(b, False, degree_bound)
-    return WitnessResult(None, False, degree_bound)
-
-
-def _detect_monomial(
-    g: GroupDescriptor, k: int, mono: DPMonomial
-) -> tuple[bool, CoefficientClass | None] | None:
-    """(certified, witness) for detector-covered cases, else None."""
-    if isinstance(g, Dihedral) or (isinstance(g, Z2Power) and g.l == 1):
-        if all(e > 0 for e in mono) and multinomial_parity(mono):
-            return (False, CoefficientClass.unit(g))
-        return (True, None)
-    if isinstance(g, SU2) and k == 1:
-        (n,) = mono
-        if n % 4 == 1:
-            return (False, CoefficientClass.unit(g))
-        return (True, None)
-    if isinstance(g, Torus) and g.l == 1 and k == 1:
-        (n,) = mono
-        if n % 2 == 1:
-            return (False, CoefficientClass.unit(g))
-        return (True, None)
-    return None
+    unit = CoefficientClass.unit(g)
+    return WitnessResult(None if alpha(g, k, a, unit).is_zero() else unit)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .f2core import F2Matrix, SpanSolver, f2_rank_kernel
-from .gradedalg import DPClass, GeneratorSet
+from .gradedalg import DPClass, GeneratorSet, compositions
 from .operations import (
     CoefficientClass,
     Dihedral,
@@ -223,35 +223,12 @@ class FiniteAction:
                         raise ValueError("action is not associative")
 
 
-def cayley_action(g_table: FiniteGroupTable, k: int, one_basepoint: bool = False) -> FiniteAction:
-    """The basepoint action on G^(V_k), or on G^(V_k)/(diagonal) if requested."""
+def cayley_action(g_table: FiniteGroupTable, k: int) -> FiniteAction:
+    """The two-basepoint action of V_k x G x G on G^(V_k)."""
     n = g_table.order
     size_points = n ** (1 << k)
     v_table = FiniteGroupTable.elementary_abelian(k)
     lam = FiniteGroupTable.product(v_table, g_table)
-
-    if one_basepoint:
-        group = lam
-        # left cosets of the diagonal: normalize so that the label of 0 is e
-        points = [
-            (g_table.identity,) + rest
-            for rest in itertools.product(range(n), repeat=(1 << k) - 1)
-        ]
-        index = {p: i for i, p in enumerate(points)}
-        if group.order * len(points) > SIZE_BOUND:
-            raise SizeBoundError("action too large to enumerate")
-        act_rows = []
-        for gi in range(group.order):
-            u, gp = gi // n, gi % n
-            row = []
-            for p in points:
-                moved = tuple(g_table.mul[gp][p[u ^ w]] for w in range(1 << k))
-                # renormalize the coset representative
-                fix = g_table.inv[moved[0]]
-                moved = tuple(g_table.mul[g][fix] for g in moved)
-                row.append(index[moved])
-            act_rows.append(tuple(row))
-        return FiniteAction(group, len(points), tuple(act_rows), lam=lam, points=tuple(points))
 
     group = FiniteGroupTable.product(lam, g_table)
     if group.order * size_points > SIZE_BOUND:
@@ -584,13 +561,7 @@ def bar_homology(
 
 def koszul_generators(k: int, degree: int) -> list[tuple[int, ...]]:
     """Divided-power monomials X1^[a1]...Xk^[ak] of total degree `degree`."""
-    if k == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for comp in itertools.product(range(degree + 1), repeat=k):
-        if sum(comp) == degree:
-            out.append(comp)
-    return out
+    return list(compositions(degree, k))
 
 
 def koszul_boundary(

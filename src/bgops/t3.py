@@ -33,8 +33,8 @@ def _coset_rep(edge_type: int, g: int) -> int:
     return min(g, g ^ stab)
 
 
-def _dims() -> tuple[int, int, int, int]:
-    return (4, 12, 12, 4)
+_DIMS = (4, 12, 12, 4)
+"""Cell counts in degrees 0..3."""
 
 
 def cell_basis(q: int) -> list[tuple]:
@@ -108,15 +108,14 @@ def _vec(q: int, cells: list[tuple]) -> int:
 
 def boundary_matrix(q: int) -> F2Matrix:
     """Cellular boundary from degree q to degree q - 1."""
-    dims = _dims()
     if q < 1 or q > 3:
-        return F2Matrix.zeros(0 if q > 3 else dims[0], 0)
+        return F2Matrix.zeros(0 if q > 3 else _DIMS[0], 0)
     basis = cell_basis(q)
-    rows = [0] * dims[q - 1]
+    rows = [0] * _DIMS[q - 1]
 
     def add(j: int, q_low: int, cells: list[tuple]) -> None:
         v = _vec(q_low, cells)
-        for i in range(_dims()[q_low]):
+        for i in range(_DIMS[q_low]):
             if (v >> i) & 1:
                 rows[i] ^= 1 << j
 
@@ -153,14 +152,10 @@ def boundary_matrix(q: int) -> F2Matrix:
                 5: (1, 2),
             }[e]
             add(j, 0, [(endpoints[0], "vertex"), (endpoints[1], "vertex")])
-    return F2Matrix(dims[q - 1], len(basis), tuple(rows))
+    return F2Matrix(_DIMS[q - 1], len(basis), tuple(rows))
 
 
 _BOUNDARIES = {q: boundary_matrix(q) for q in (1, 2, 3)}
-
-
-def _apply_matrix(m: F2Matrix, vec: int) -> int:
-    return m.apply(vec)
 
 
 TotalChain = dict[tuple[int, int, int], int]
@@ -191,7 +186,7 @@ def total_boundary(chain: TotalChain) -> TotalChain:
         if k2 > 0:
             toggle((k1, k2 - 1, q), t_action(q, 2, vec))
         if q > 0:
-            toggle((k1, k2, q - 1), _apply_matrix(_BOUNDARIES[q], vec))
+            toggle((k1, k2, q - 1), _BOUNDARIES[q].apply(vec))
     return out
 
 
@@ -201,11 +196,10 @@ def _chain_equal(a: TotalChain, b: TotalChain) -> bool:
 
 def cellular_homology_dims() -> list[int]:
     """Mod-2 Betti numbers of the total space from the cellular complex."""
-    dims = _dims()
     out = []
     for q in range(4):
         if q == 0:
-            kernel_dim = dims[0]
+            kernel_dim = _DIMS[0]
         else:
             _, kernel = f2_rank_kernel(_BOUNDARIES[q])
             kernel_dim = len(kernel)
@@ -262,13 +256,13 @@ def t3_verify(n1: int, n2: int) -> T3Report:
     for k1 in range(top + 1):
         for k2 in range(top + 1 - k1):
             for q in range(4):
-                for i in range(_dims()[q]):
+                for i in range(_DIMS[q]):
                     basis_chain: TotalChain = {(k1, k2, q): 1 << i}
                     if total_boundary(total_boundary(basis_chain)):
                         ok = False
     checks["total_d_squared_zero"] = ok
 
-    all_mask = {q: (1 << _dims()[q]) - 1 for q in range(4)}
+    all_mask = {q: (1 << _DIMS[q]) - 1 for q in range(4)}
     fundamental: TotalChain = {(0, 0, 3): all_mask[3]}
     checks["fundamental_cycle"] = not total_boundary(fundamental)
 

@@ -20,6 +20,7 @@ from bgops.operations import (
     SU2,
     Torus,
     Z2Power,
+    coefficient_basis,
     composite_op,
     dp_multiply,
     make_product,
@@ -70,13 +71,17 @@ def test_group_hypotheses():
 
 
 def test_failure_report_is_inconclusive():
-    # over the circle, an even one-variable power acts by zero; the search
-    # cannot find a witness and must say so without claiming triviality
-    result = build_certificate(Target.HOL_ORDINARY, Torus(1), [(2, E[2])], degree_bound=6)
+    # over the circle, an even one-variable power acts by zero, and the
+    # report states that this is proved, not merely unfound
+    result = build_certificate(Target.HOL_ORDINARY, Torus(1), [(2, E[2])])
     assert isinstance(result, FailureReport)
     doc = result.to_json()
     assert doc["failure"] is True
-    assert doc["degree_bound"] == 6
+    assert "degree_bound" not in doc
+    assert "vanishes on the unit class" in doc["reason"]
+    for d in range(7):
+        for b in coefficient_basis(Torus(1), d):
+            assert composite_op(Torus(1), [(2, E[2])], b).is_zero()
 
 
 def test_stable_image_examples():
@@ -196,8 +201,11 @@ def test_product_group_certificate():
     group = make_product([Z2, Z2])
     # a rank-2 target needs exponents of at least 2: E_1 is certifiably
     # trivial here, E_3 acts by the two-variable divided-power sum
-    result = build_certificate(Target.AFF_F2, group, [(2, E[1])], degree_bound=6)
+    result = build_certificate(Target.AFF_F2, group, [(2, E[1])])
     assert isinstance(result, FailureReport)
+    for d in range(7):
+        for b in coefficient_basis(group, d):
+            assert composite_op(group, [(2, E[1])], b).is_zero()
     cert = build_certificate(Target.AFF_F2, group, [(2, E[3])])
     assert isinstance(cert, Certificate)
     assert cert.revalidate()

@@ -1,0 +1,219 @@
+"""The operation model: alpha(g, k, a, b) is multiplication by a class C(a).
+
+The grid pins ``alpha == multiplier * b`` and checks it against two routes
+that evaluate every b separately: the sum over all linear maps for
+elementary abelian targets, and the product formula applied to each
+tensor factor of b.  A degree-bounded search over basis classes is the
+oracle for the one evaluation at the unit that decides nonvanishing.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from bgops.gradedalg import DPClass, GeneratorSet, SU2Class, dp_coproduct, dp_multiply, su2_act
+from bgops.operations import (
+    SU2,
+    CoefficientClass,
+    ProductGroup,
+    Torus,
+    Z2Power,
+    alpha,
+    alpha_z2power_bruteforce,
+    coefficient_basis,
+    group_dim,
+    multiplier,
+    nontrivial_witness,
+    parse_group,
+)
+
+GRID_GROUPS = (
+    "z2^1",
+    "z2^2",
+    "z2^3",
+    "d6",
+    "d10",
+    "t^1",
+    "t^2",
+    "su2",
+    "(z2)x(su2)",
+    "(t^1)x(z2)",
+    "(su2)x(su2)",
+)
+MAX_K = {"t^1": 2, "t^2": 2, "su2": 1, "(z2)x(su2)": 1, "(t^1)x(z2)": 2, "(su2)x(su2)": 1}
+# (k -> top total exponent of a), b up to degree B_DEGREE
+A_DEGREE = {0: 0, 1: 8, 2: 6, 3: 5}
+B_DEGREE = 6
+
+
+def monomials(k: int, top: int):
+    for exps in itertools.product(range(top + 1), repeat=k):
+        if sum(exps) <= top:
+            yield DPClass.monomial(GeneratorSet.v_basis(k), exps)
+
+
+def basis_up_to(g, degree: int):
+    return [b for d in range(degree + 1) for b in coefficient_basis(g, d)]
+
+
+def split_route(g, k: int, a: DPClass, b: CoefficientClass) -> frozenset:
+    """alpha through the coproduct of a, applied to each tensor factor of b."""
+    if isinstance(g, Torus) and g.l > 1:
+        circles = ProductGroup((Torus(1),) * g.l)
+        b_split = CoefficientClass(circles, frozenset(tuple((e,) for e in t[0]) for t in b.terms))
+        return frozenset((tuple(m[0] for m in t),) for t in split_route(circles, k, a, b_split))
+    if not isinstance(g, ProductGroup):
+        return alpha(g, k, a, b).terms
+    head, tail = g.factors[0], g.factors[1:]
+    tail_group = tail[0] if len(tail) == 1 else ProductGroup(tail)
+    out: set = set()
+    for mono in a.terms:
+        for left, right in dp_coproduct(mono):
+            for term in b.terms:
+                b_head = CoefficientClass(head, frozenset({term[:1]}))
+                b_tail = CoefficientClass(tail_group, frozenset({term[1:]}))
+                heads = alpha(head, k, DPClass.monomial(a.gens, left), b_head).terms
+                if not heads:
+                    continue
+                rest = split_route(tail_group, k, DPClass.monomial(a.gens, right), b_tail)
+                for s in heads:
+                    for t in rest:
+                        out ^= {s + t}
+    return frozenset(out)
+
+
+def test_alpha_is_multiplication_by_the_multiplier():
+    for spec in GRID_GROUPS:
+        g = parse_group(spec)
+        bs = basis_up_to(g, B_DEGREE)
+        for k in range(MAX_K.get(spec, 3) + 1):
+            for a in monomials(k, A_DEGREE[k]):
+                c = multiplier(g, k, a)
+                assert c == alpha(g, k, a, CoefficientClass.unit(g)), (spec, a)
+                for b in bs:
+                    assert alpha(g, k, a, b) == c * b, (spec, a, b)
+
+
+def test_multiplier_against_per_class_routes():
+    for spec in ("z2^2", "z2^3"):
+        g = parse_group(spec)
+        for k in (1, 2):
+            for a in monomials(k, 4):
+                c = multiplier(g, k, a)
+                for b in basis_up_to(g, 2):
+                    assert alpha_z2power_bruteforce(g, k, a, b) == c * b, (spec, a, b)
+    for spec in ("t^2", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)", "(z2)x(z2)x(t^1)"):
+        g = parse_group(spec)
+        for k in range(MAX_K.get(spec, 2) + 1):
+            for a in monomials(k, A_DEGREE[k]):
+                c = multiplier(g, k, a)
+                for b in basis_up_to(g, 4):
+                    assert split_route(g, k, a, b) == (c * b).terms, (spec, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the degree-bounded basis search, as an oracle
+
+
+def search_witness(g, k: int, a: DPClass) -> CoefficientClass | None:
+    """First basis class with a nonzero value, by degree then lex order."""
+    bound = max(a.degrees(), default=0) + group_dim(g) * (1 << k) + 8
+    for d in range(bound + 1):
+        for b in coefficient_basis(g, d):
+            if not alpha(g, k, a, b).is_zero():
+                return b
+    return None
+
+
+# (group, k, exponents, found)
+SEARCH_CASES = (
+    ("z2^1", 2, (1, 2), True),
+    ("z2^1", 2, (1, 3), False),
+    ("d10", 3, (1, 2, 4), True),
+    ("z2^2", 1, (3,), True),
+    ("z2^2", 2, (1, 2), False),
+    ("z2^2", 2, (2, 4), True),
+    ("z2^3", 1, (2,), False),
+    ("z2^3", 2, (3, 6), True),
+    ("z2^3", 3, (0, 3, 5), False),
+    ("t^1", 1, (2,), False),
+    ("t^1", 2, (1, 2), True),
+    ("t^2", 1, (3,), False),
+    ("t^2", 2, (2, 4), True),
+    ("su2", 1, (4,), False),
+    ("su2", 1, (5,), True),
+    ("(z2)x(su2)", 1, (1,), False),
+    ("(z2)x(su2)", 1, (2,), True),
+    ("(t^1)x(z2)", 2, (1, 1), False),
+    ("(t^1)x(z2)", 2, (2, 4), True),
+    ("(su2)x(su2)", 1, (3,), False),
+    ("(su2)x(su2)", 1, (2,), True),
+)
+
+
+@pytest.mark.parametrize("spec,k,exps,found", SEARCH_CASES)
+def test_witness_agrees_with_basis_search(spec, k, exps, found):
+    g = parse_group(spec)
+    a = DPClass.monomial(GeneratorSet.v_basis(k), exps)
+    expected = search_witness(g, k, a)
+    res = nontrivial_witness(g, k, a)
+    assert (expected is not None) == found
+    assert res.witness == expected
+    assert res.certified_trivial == (not found)
+
+
+# ---------------------------------------------------------------------------
+# the product on coefficient classes
+
+
+def random_class(rng: random.Random, g, degree: int) -> CoefficientClass:
+    basis = basis_up_to(g, degree)
+    out = CoefficientClass.zero(g)
+    for b in rng.sample(basis, min(len(basis), rng.randint(1, 4))):
+        out += b
+    return out
+
+
+@pytest.mark.parametrize("spec", GRID_GROUPS + ("t^3", "(z2)x(z2)x(t^1)"))
+def test_product_laws(spec):
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    one = CoefficientClass.unit(g)
+    zero = CoefficientClass.zero(g)
+    for _ in range(25):
+        x, y, z = (random_class(rng, g, 8) for _ in range(3))
+        assert x * y == y * x
+        assert one * x == x == x * one
+        assert zero * x == zero
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+
+
+def test_product_matches_the_factor_rules():
+    # SU(2): the module action of the lift x^[4m] of u_m
+    x = GeneratorSet.v_basis(1)
+    for m in range(9):
+        for n in range(9):
+            um, un = (CoefficientClass.from_su2(SU2(), SU2Class.generator(i)) for i in (m, n))
+            expected = su2_act(DPClass.monomial(x, (4 * m,)), SU2Class.generator(n))
+            assert (um * un).as_su2() == expected, (m, n)
+    # divided-power factors: the divided-power product
+    for spec in ("z2^1", "z2^2", "t^2"):
+        g = parse_group(spec)
+        basis = basis_up_to(g, 6)
+        for y in basis:
+            for z in basis:
+                assert (y * z).as_dp() == dp_multiply(y.as_dp(), z.as_dp())
+    # products: factor by factor
+    rng = random.Random(3)
+    for _ in range(40):
+        s1, s2 = (random_class(rng, Z2Power(2), 6) for _ in range(2))
+        t1, t2 = (random_class(rng, SU2(), 16) for _ in range(2))
+        lhs = CoefficientClass.tensor(s1, t1) * CoefficientClass.tensor(s2, t2)
+        assert lhs == CoefficientClass.tensor(s1 * s2, t1 * t2)
+
+
+def test_product_rejects_mixed_groups():
+    with pytest.raises(ValueError):
+        CoefficientClass.unit(Z2Power(1)) * CoefficientClass.unit(Torus(1))

@@ -417,11 +417,11 @@ def test_witness_examples():
 
 
 def test_witness_search_without_detector():
-    # sums fall back to the search; x + x^[2] acts nontrivially on the unit
+    # x + x^[2] acts nontrivially on the unit
     a = DPClass.from_terms(V1, [(1,), (2,)])
     res = nontrivial_witness(Z2, 1, a)
     assert res.witness is not None
-    # torus k=2 has no detector: witness for x1 x2^[2] is found by search
+    # torus k=2: the unit is the witness for x1 x2^[2]
     res = nontrivial_witness(Torus(1), 2, mono(V2, 1, 2))
     assert res.witness == unit(Torus(1))
     with pytest.raises(UnsupportedOperationError):
@@ -429,10 +429,11 @@ def test_witness_search_without_detector():
 
 
 def test_witness_respects_explicit_bound():
-    res = nontrivial_witness(Z2, 1, mono(V1, 2), degree_bound=0)
-    # detector certifies nontriviality needs bit-disjoint coefficient: x^[2]
-    # pairs with the unit already, so the detector answers positively
+    # the search never leaves degree 0: x^[2] pairs with the unit already,
+    # so the unit is the witness
+    res = nontrivial_witness(Z2, 1, mono(V1, 2))
     assert res.witness == unit(Z2)
+    assert not alpha(Z2, 1, mono(V1, 2), unit(Z2)).is_zero()
 
 
 def test_three_factor_product_consistency():
@@ -466,13 +467,14 @@ def test_operation_shape():
 
 def test_witness_inconclusive_path():
     # over a rank-2 target, a row sum below the rank kills the operation
-    # identically, but no closed-form detector covers that case: the
-    # search must report absence without claiming a proof
+    # identically, and the evaluation on the unit proves it
     g = Z2Power(2)
-    res = nontrivial_witness(g, 2, mono(V2, 1, 2), degree_bound=4)
+    res = nontrivial_witness(g, 2, mono(V2, 1, 2))
     assert res.witness is None
-    assert not res.certified_trivial
-    assert res.degree_bound == 4
+    assert res.certified_trivial
+    for d in range(5):
+        for b in coefficient_basis(g, d):
+            assert alpha(g, 2, mono(V2, 1, 2), b).is_zero()
 
 
 def test_alpha_group_mismatch_errors():
@@ -517,9 +519,6 @@ def test_nontriviality_extends_by_large_doubled_exponents():
             for r in (l, l + 1):
                 ext = base + ((1 << s) * r,)
                 res2 = nontrivial_witness(
-                    g,
-                    k + 1,
-                    DPClass.monomial(GeneratorSet.v_basis(k + 1), ext),
-                    degree_bound=sum(ext) + 4,
+                    g, k + 1, DPClass.monomial(GeneratorSet.v_basis(k + 1), ext)
                 )
                 assert res2.witness is not None, (l, base, ext)

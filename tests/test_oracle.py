@@ -94,13 +94,12 @@ def test_orbit_census_z2_k2():
     assert len(odd) == 4
 
 
-def test_one_basepoint_action_axioms():
-    for table in (FiniteGroupTable.z2(), FiniteGroupTable.dihedral(1)):
-        action = cayley_action(table, 1, one_basepoint=True)
+def test_cayley_action_axioms():
+    z2, d6 = FiniteGroupTable.z2(), FiniteGroupTable.dihedral(1)
+    for table, k in ((z2, 1), (z2, 2), (d6, 1)):
+        action = cayley_action(table, k)
         action.check_axioms()
-        assert action.set_size == table.order
-    two_sided = cayley_action(FiniteGroupTable.z2(), 2)
-    two_sided.check_axioms()
+        assert action.set_size == table.order ** (1 << k)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def test_transfer_identity_when_subgroup_is_whole_group():
     assert transfer_map(z2, [0, 1], 3) == transfer_map(z2, [0, 1], 3)
     m = transfer_map(z2, [0, 1], 3)
     assert m.rows == m.cols == 1
-    assert m.entry(0, 0) == 1
+    assert m.data == (1,)
 
 
 def test_transfer_diagonal_zero():
