@@ -286,18 +286,27 @@ def build_certificate(
     target = Target(target)
     _check_hypothesis(target, group)
     factors = tuple((int(n), a) for n, a in factors)
-    class_degree = sum(a.homogeneous_degree() for _, a in factors)
-    unit = CoefficientClass.unit(group)
-    value = composite_op(group, factors, unit)
+    value = composite_op(group, factors, CoefficientClass.unit(group))
     if value.is_zero():
         return FailureReport(target, group, factors)
+    return _certificate(target, group, factors, value)
+
+
+def _certificate(
+    target: Target,
+    group: GroupDescriptor,
+    factors: tuple[tuple[int, SymClass], ...],
+    value: CoefficientClass,
+) -> Certificate:
+    """Package the nonzero value of the composite on the unit class."""
+    class_degree = sum(a.homogeneous_degree() for _, a in factors)
     return Certificate(
         target=target,
         group=group,
         factors=factors,
         rank=sum(n - 1 for n, _ in factors),
         degree=_certificate_degree(target, class_degree),
-        coefficient=unit,
+        coefficient=CoefficientClass.unit(group),
         output=value,
         stability=_stability_for(target, factors, class_degree),
     )
@@ -353,7 +362,9 @@ def example_family(u: Sequence[int], assignment: Sequence[int]) -> CertificateBu
     1..r, surjectively.  Group i contributes the arity 2^(size of group i)
     and the composition-product class with the u_j of group i as
     subscripts.  With coefficients in Z/2 the composite operation is
-    multiplication by x^[sum(u)], so every target certifies.
+    multiplication by x^[sum(u)], so every target certifies.  The
+    composite is evaluated once; each target's Certificate checks that
+    target's group hypothesis as it is built.
     """
     u = tuple(int(v) for v in u)
     if not u or any(v < 1 for v in u):
@@ -375,13 +386,12 @@ def example_family(u: Sequence[int], assignment: Sequence[int]) -> CertificateBu
     for i in range(1, r + 1):
         members = [u[j] for j in range(len(u)) if assignment[j] == i]
         factors.append((1 << len(members), SymClass.single(CircWord.of(*members))))
+    factors = tuple(factors)
 
     group = Z2Power(1)
+    value = composite_op(group, factors, CoefficientClass.unit(group))
+    if value.is_zero():  # pragma: no cover - the family always certifies
+        raise AssertionError("example family unexpectedly evaluated to zero")
     rank = sum(n - 1 for n, _ in factors)
-    certificates: dict[Target, Certificate] = {}
-    for target in Target:
-        result = build_certificate(target, group, factors)
-        if isinstance(result, FailureReport):  # pragma: no cover - family always certifies
-            raise AssertionError(f"example family unexpectedly failed for {target.value}")
-        certificates[target] = result
+    certificates = {target: _certificate(target, group, factors, value) for target in Target}
     return CertificateBundle(u, assignment, rank, certificates)

@@ -3,7 +3,9 @@
 Exit codes: 0 for success with a nonzero result, 1 for a zero result
 (including a certified trivial witness and a certified vanishing
 from ``certify``), 2 for errors (bad input, unsupported operation,
-violated hypothesis).
+violated hypothesis), 3 for a failed internal invariant (an
+``AssertionError``, such as an orbit sum that is not a cycle), which is
+a fault of the program, not of its input.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .t3 import t3_verify
 EXIT_NONZERO = 0
 EXIT_ZERO = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _input_document(args) -> dict:
@@ -340,6 +343,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

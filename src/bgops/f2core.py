@@ -165,10 +165,17 @@ class SpanSolver:
     Vectors are int bitmasks.  Rows are reduced as they are added and the
     combination producing each reduced row is tracked, so ``coordinates``
     can express a member vector in terms of the inserted generators.
+
+    Stored rows have pairwise distinct leading bits and are kept in a
+    dict keyed by that bit (``bit_length()``).  Reducing v xors in the
+    stored row with v's leading bit until v is zero or its leading bit
+    is new; each xor is one dict lookup and strictly shortens v, so a
+    reduction costs O(rank) xors and ``add`` never re-sorts.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, int]] = []  # (reduced vector, combination mask)
+        # leading bit -> (reduced vector, combination mask)
+        self._rows: dict[int, tuple[int, int]] = {}
         self._count = 0
 
     def add(self, v: int) -> bool:
@@ -178,22 +185,17 @@ class SpanSolver:
         v, combo = self._reduce(v, combo)
         if v == 0:
             return False
-        self._rows.append((v, combo))
-        self._rows.sort(key=lambda rc: rc[0].bit_length(), reverse=True)
+        self._rows[v.bit_length()] = (v, combo)
         return True
 
     def _reduce(self, v: int, combo: int) -> tuple[int, int]:
-        # stored rows have pairwise distinct leading bits, so each xor
-        # strictly shortens v and the loop terminates
-        changed = True
-        while changed and v:
-            changed = False
-            for row, rcombo in self._rows:
-                if v.bit_length() == row.bit_length():
-                    v ^= row
-                    combo ^= rcombo
-                    changed = True
-                    break
+        rows = self._rows
+        while v:
+            pivot = rows.get(v.bit_length())
+            if pivot is None:
+                break
+            v ^= pivot[0]
+            combo ^= pivot[1]
         return v, combo
 
     @property

@@ -14,7 +14,9 @@ results.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .f2core import F2Matrix, SpanSolver, f2_rank_kernel
@@ -46,7 +48,7 @@ class FiniteGroupTable:
     """Multiplication table of a finite group on indices 0..order-1.
 
     ``mul[a][b]`` is the product a*b.  Group laws are verified at
-    construction for orders up to 200.
+    construction, for every order (see ``check_laws``).
     """
 
     order: int
@@ -59,8 +61,7 @@ class FiniteGroupTable:
     def __post_init__(self) -> None:
         if not self.inv:
             self.inv = tuple(self._find_inverse(a) for a in range(self.order))
-        if self.order <= 200:
-            self.check_laws()
+        self.check_laws()
 
     def _find_inverse(self, a: int) -> int:
         for b in range(self.order):
@@ -69,18 +70,54 @@ class FiniteGroupTable:
         raise ValueError(f"element {a} has no inverse")
 
     def check_laws(self) -> None:
+        """Verify the identity, inverse and associative laws.
+
+        Associativity is decided by Light's test.  Generators S are picked
+        greedily until {e}, closed under right multiplication by S, is the
+        whole table; then (x s) y == x (s y) is checked for s in S and all
+        x, y.  That is O(n^2 |S|) steps instead of the O(n^3) triple loop,
+        and |S| <= log2(n) for a group.
+
+        The test is complete.  Let A be the set of a with (x a) y == x (a y)
+        for all x, y.  The identity law puts e in A and the test puts S in
+        A.  A is closed under products: for a, b in A and all x, y,
+
+            x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y,
+
+        using b in A (at x := a), a in A (at y := by), b in A (at
+        x := xa) and a in A (at y := b).  Every element is a product
+        (...((e s1) s2)...) sm with each s_i in S, so A is the whole table
+        and the table is associative.  An associative table passes, so
+        the test accepts exactly the tables the triple loop accepts.
+        """
         e = self.identity
+        mul = self.mul
         for a in range(self.order):
-            if self.mul[a][e] != a or self.mul[e][a] != a:
+            if mul[a][e] != a or mul[e][a] != a:
                 raise ValueError("identity law fails")
-            if self.mul[a][self.inv[a]] != e or self.mul[self.inv[a]][a] != e:
+            if mul[a][self.inv[a]] != e or mul[self.inv[a]][a] != e:
                 raise ValueError("inverse law fails")
+        gens: list[int] = []
+        reached = {e}
         for a in range(self.order):
-            for b in range(self.order):
-                ab = self.mul[a][b]
-                for c in range(self.order):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        raise ValueError("associativity fails")
+            if a in reached:
+                continue
+            gens.append(a)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = mul[x][s]
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        for s in gens:
+            s_row = mul[s]
+            for x_row in mul:
+                # row of (x s) against x (s y) for every y, without
+                # building either row as a new object
+                if any(map(operator.ne, mul[x_row[s]], map(x_row.__getitem__, s_row))):
+                    raise ValueError("associativity fails")
 
     @classmethod
     def trivial(cls) -> "FiniteGroupTable":
@@ -205,9 +242,9 @@ class FiniteAction:
     group: FiniteGroupTable
     set_size: int
     act: tuple[tuple[int, ...], ...]
-    lam: FiniteGroupTable | None = None
-    proj: tuple[int, ...] | None = None
-    q_proj: tuple[int, ...] | None = None
+    lam: FiniteGroupTable
+    proj: tuple[int, ...]
+    q_proj: tuple[int, ...]
     points: tuple[tuple[int, ...], ...] = ()
 
     def check_axioms(self) -> None:
@@ -223,40 +260,65 @@ class FiniteAction:
                         raise ValueError("action is not associative")
 
 
-def cayley_action(g_table: FiniteGroupTable, k: int) -> FiniteAction:
-    """The two-basepoint action of V_k x G x G on G^(V_k)."""
-    n = g_table.order
-    size_points = n ** (1 << k)
-    v_table = FiniteGroupTable.elementary_abelian(k)
-    lam = FiniteGroupTable.product(v_table, g_table)
+def _point_map(point_ids: list[int], n: int, images: Sequence[Sequence[int]]) -> list[int]:
+    """Index map of the point set range(n)^m, in ``itertools.product`` order.
 
-    group = FiniteGroupTable.product(lam, g_table)
-    if group.order * size_points > SIZE_BOUND:
+    Entry x is the index sum_v images[v][d_v], where d_v is the v-th
+    coordinate of point x; the entries are the int objects of
+    ``point_ids``, so every map shares one object per index.
+    """
+    out = [0]
+    for contribution in images:
+        out = [base + c for base in out for c in contribution]
+    return list(map(point_ids.__getitem__, out))
+
+
+def cayley_action(g_table: FiniteGroupTable, k: int) -> FiniteAction:
+    """The two-basepoint action of V_k x G x G on G^(V_k).
+
+    (u, g_p, g_q) sends the labelling (g_w) to (g_p g_{u+w} g_q^-1): the
+    coordinate shuffle w -> u + w followed by the letter map
+    c -> g_p c g_q^-1 in every coordinate.  Both are tabulated as index
+    maps of the points (2^k shuffles, one letter map per (g_p, g_q)), and
+    each row of ``act`` is a shuffle composed with a letter map.
+    """
+    n = g_table.order
+    m = 1 << k
+    v_table = FiniteGroupTable.elementary_abelian(k)
+    size_points = n**m
+    if m * n * n * size_points > SIZE_BOUND:
         raise SizeBoundError("action too large to enumerate")
-    points = list(itertools.product(range(n), repeat=1 << k))
-    index = {p: i for i, p in enumerate(points)}
-    act_rows = []
-    for gi in range(group.order):
-        lam_part, gq = gi // n, gi % n
-        u, gp = lam_part // n, lam_part % n
-        gq_inv = g_table.inv[gq]
-        row = []
-        for p in points:
-            moved = tuple(
-                g_table.mul[g_table.mul[gp][p[u ^ w]]][gq_inv] for w in range(1 << k)
+    lam = FiniteGroupTable.product(v_table, g_table)
+    group = FiniteGroupTable.product(lam, g_table)
+
+    # coordinate w of a point carries the weight n^(m-1-w) in its index
+    weight = [n ** (m - 1 - w) for w in range(m)]
+    point_ids = list(range(size_points))
+    shuffles = [
+        _point_map(point_ids, n, [[d * weight[u ^ v] for d in range(n)] for v in range(m)])
+        for u in range(m)
+    ]
+    act_rows: list[tuple[int, ...]] = [()] * group.order
+    mul = g_table.mul
+    for gp in range(n):
+        for gq in range(n):
+            gq_inv = g_table.inv[gq]
+            letters = [mul[mul[gp][c]][gq_inv] for c in range(n)]
+            relabel = _point_map(
+                point_ids, n, [[letters[d] * weight[w] for d in range(n)] for w in range(m)]
             )
-            row.append(index[moved])
-        act_rows.append(tuple(row))
+            for u, shuffle in enumerate(shuffles):
+                act_rows[(u * n + gp) * n + gq] = tuple(map(relabel.__getitem__, shuffle))
     proj = tuple(gi // n for gi in range(group.order))
     q_proj = tuple(gi % n for gi in range(group.order))
     return FiniteAction(
         group,
-        len(points),
+        size_points,
         tuple(act_rows),
         lam=lam,
         proj=proj,
         q_proj=q_proj,
-        points=tuple(points),
+        points=tuple(itertools.product(range(n), repeat=m)),
     )
 
 
@@ -276,8 +338,6 @@ def action_orbits(action: FiniteAction) -> list[OrbitData]:
     projection is checked to be injective on the stabilizer and the
     index of its image is reported.
     """
-    if action.proj is None or action.lam is None:
-        raise ValueError("action carries no projection data")
     if action.group.order * action.set_size > SIZE_BOUND:
         raise SizeBoundError("orbit enumeration too large")
     seen = [False] * action.set_size
@@ -591,16 +651,28 @@ def groupring_multiply(k: int, a_mask: int, b_mask: int) -> int:
 
 
 def koszul_check_differential(k: int, max_degree: int) -> None:
-    """Assert d(d(gen)) = 0 over the group ring for all generators."""
+    """Assert d(d(gen)) = 0 over the group ring for all generators.
+
+    Each degree is checked once per process (``_koszul_d_squared_failure``).
+    """
     for d in range(2, max_degree + 1):
-        for gen in koszul_generators(k, d):
-            acc: dict[tuple[int, ...], int] = {}
-            for mid, coeff1 in koszul_boundary(k, gen):
-                for low, coeff2 in koszul_boundary(k, mid):
-                    prod = groupring_multiply(k, coeff1, coeff2)
-                    acc[low] = acc.get(low, 0) ^ prod
-            if any(v for v in acc.values()):
-                raise AssertionError(f"koszul differential does not square to zero at {gen}")
+        gen = _koszul_d_squared_failure(k, d)
+        if gen is not None:
+            raise AssertionError(f"koszul differential does not square to zero at {gen}")
+
+
+@lru_cache(maxsize=None)
+def _koszul_d_squared_failure(k: int, degree: int) -> tuple[int, ...] | None:
+    """The first degree-`degree` generator with d(d(gen)) != 0, or None."""
+    for gen in koszul_generators(k, degree):
+        acc: dict[tuple[int, ...], int] = {}
+        for mid, coeff1 in koszul_boundary(k, gen):
+            for low, coeff2 in koszul_boundary(k, mid):
+                prod = groupring_multiply(k, coeff1, coeff2)
+                acc[low] = acc.get(low, 0) ^ prod
+        if any(v for v in acc.values()):
+            return gen
+    return None
 
 
 def _koszul_boundary_matrix(k: int, degree: int) -> F2Matrix:
@@ -757,7 +829,6 @@ def compsum_alpha(
         raise SizeBoundError(f"degree {total} exceeds max_degree {max_degree}")
 
     action = cayley_action(g_table, k)
-    assert action.lam is not None and action.proj is not None and action.q_proj is not None
     lam = action.lam
     orbits = action_orbits(action)
 

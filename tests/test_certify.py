@@ -135,6 +135,33 @@ def test_example_family_operation_is_divided_power_multiplication():
             assert value == expected
 
 
+def test_example_family_matches_one_certificate_per_target(monkeypatch):
+    # the bundle evaluates its composite once and must equal, byte for
+    # byte, the certificates built target by target
+    import bgops.certify as certify_module
+
+    calls = []
+    real = certify_module.composite_op
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certify_module, "composite_op", counting)
+    for u, f in [((1,), (1,)), ((1, 2), (1, 1)), ((1, 2), (1, 2)), ((4, 2, 1), (1, 2, 1)),
+                 ((8, 3, 16), (2, 1, 2))]:
+        calls.clear()
+        bundle = example_family(u, f)
+        assert len(calls) == 1
+        factors = bundle.certificates[Target.HOL_ORDINARY].factors
+        for target in Target:
+            one = build_certificate(target, Z2, factors)
+            assert json.dumps(bundle.certificates[target].to_json(), sort_keys=True) == json.dumps(
+                one.to_json(), sort_keys=True
+            )
+        assert list(bundle.to_json()["certificates"]) == [t.value for t in Target]
+
+
 def test_example_family_errors():
     with pytest.raises(ValueError) as err:
         example_family([1, 3], [1, 2])

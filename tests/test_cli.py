@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bgops.cli import EXIT_ERROR, EXIT_NONZERO, EXIT_ZERO, main
+from bgops import cli
+from bgops.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_NONZERO, EXIT_ZERO, main
 
 
 def run(capsys, *argv):
@@ -198,3 +199,15 @@ def test_missing_input_is_an_error(capsys):
     code, _, err = run(capsys, "alpha", "--group", "z2^1", "-k", "1", "--b", UNIT_Z2)
     assert code == EXIT_ERROR
     assert "via --in" in err
+
+
+def test_internal_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("orbit sum did not produce a cycle")
+
+    monkeypatch.setattr(cli, "_cmd_t3_verify", broken)
+    code, out, err = run(capsys, "t3-verify", "--n1", "0", "--n2", "0")
+    assert code == EXIT_INTERNAL == 3
+    assert EXIT_INTERNAL not in (EXIT_NONZERO, EXIT_ZERO, EXIT_ERROR)
+    assert out == ""
+    assert "internal error: orbit sum did not produce a cycle" in err

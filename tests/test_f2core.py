@@ -1,8 +1,12 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bgops.f2core import (
     F2Matrix,
     SpanSolver,
+    _rref,
     binom_parity,
     f2_rank_kernel,
     multinomial_parity,
@@ -89,3 +93,79 @@ def test_matmul_against_entries():
         for j in range(3):
             expected = sum((a.data[i] >> t) & (b.data[t] >> j) & 1 for t in range(6)) % 2
             assert (c.data[i] >> j) & 1 == expected
+
+
+# ---------------------------------------------------------------------------
+# SpanSolver against the row-echelon reference _rref
+
+class ListSpanSolver:
+    """The earlier SpanSolver: rows in a list sorted by leading bit, and a
+    reduction that rescans the list after every xor.  Reference for the
+    claim that the dict-keyed solver makes the same xors."""
+
+    def __init__(self):
+        self._rows = []
+        self._count = 0
+
+    def add(self, v):
+        combo = 1 << self._count
+        self._count += 1
+        v, combo = self._reduce(v, combo)
+        if v == 0:
+            return False
+        self._rows.append((v, combo))
+        self._rows.sort(key=lambda rc: rc[0].bit_length(), reverse=True)
+        return True
+
+    def _reduce(self, v, combo):
+        changed = True
+        while changed and v:
+            changed = False
+            for row, rcombo in self._rows:
+                if v.bit_length() == row.bit_length():
+                    v ^= row
+                    combo ^= rcombo
+                    changed = True
+                    break
+        return v, combo
+
+    def coordinates(self, v):
+        v, combo = self._reduce(v, 0)
+        return combo if v == 0 else None
+
+
+VECTOR_LISTS = st.integers(min_value=1, max_value=40).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=30),
+        st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=10),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTOR_LISTS)
+def test_span_solver_matches_rref(case):
+    width, vectors, probes = case
+    solver, reference = SpanSolver(), ListSpanSolver()
+    for i, v in enumerate(vectors):
+        enlarged = solver.add(v)
+        assert reference.add(v) == enlarged
+        # v enlarges the span exactly when it raises the rank of the prefix
+        before = len(_rref(list(vectors[:i]), width)[0])
+        after = len(_rref(list(vectors[: i + 1]), width)[0])
+        assert enlarged == (after > before)
+    assert solver.rank == len(_rref(list(vectors), width)[0])
+    for v in list(vectors) + probes:
+        member = len(_rref(list(vectors) + [v], width)[0]) == solver.rank
+        assert solver.contains(v) == member
+        combo = solver.coordinates(v)
+        assert combo == reference.coordinates(v)
+        assert (combo is not None) == member
+        if combo is not None:
+            assert combo < 1 << len(vectors)
+            acc = 0
+            for j, w in enumerate(vectors):
+                if (combo >> j) & 1:
+                    acc ^= w
+            assert acc == v

@@ -377,3 +377,192 @@ def test_bar_homology_auto_switches_to_minimal_resolution():
     result = bar_homology(v3, 12, method="auto")
     assert result.method == "koszul"
     assert result.dims == [(n + 1) * (n + 2) // 2 for n in range(13)]
+
+
+# ---------------------------------------------------------------------------
+# check_laws and cayley_action against the direct definitions
+
+
+def associative_by_triple_loop(mul):
+    """The O(n^3) associativity check that Light's test replaced."""
+    n = len(mul)
+    return all(
+        mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def constructor_tables():
+    yield FiniteGroupTable.trivial()
+    yield FiniteGroupTable.z2()
+    for k in range(4):
+        yield FiniteGroupTable.elementary_abelian(k)
+    for n in range(4):
+        yield FiniteGroupTable.dihedral(n)
+    for n in range(6):
+        yield FiniteGroupTable.symmetric(n)
+    z2, d6 = FiniteGroupTable.z2(), FiniteGroupTable.dihedral(1)
+    s3 = FiniteGroupTable.symmetric(3)
+    yield FiniteGroupTable.product(z2, d6)
+    yield FiniteGroupTable.product(d6, s3)
+    yield FiniteGroupTable.product(FiniteGroupTable.product(z2, z2), d6)
+    s4_perms = sorted(itertools.permutations(range(4)))
+    yield FiniteGroupTable.symmetric(4).subgroup(
+        [i for i, p in enumerate(s4_perms) if p[3] == 3]
+    )[0]
+    yield d6.subgroup([0, 1, 2])[0]
+
+
+def test_check_laws_accepts_every_constructor_table():
+    for table in constructor_tables():
+        assert associative_by_triple_loop(table.mul)
+        table.check_laws()
+
+
+def random_loop(rng, n):
+    """A random Latin square on 0..n-1 with identity 0 (a loop)."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[0][i] = rows[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(pos):
+        if pos == len(cells):
+            return True
+        i, j = cells[pos]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            rows[i][j] = v
+            if fill(pos + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    return tuple(tuple(r) for r in rows)
+
+
+def two_sided_inverses(mul):
+    n = len(mul)
+    for a in range(n):
+        b = mul[a].index(0)
+        if mul[b][a] != 0:
+            return False
+    return True
+
+
+def test_check_laws_rejects_random_nonassociative_loops():
+    rng = random.Random(2015)
+    rejected = {n: 0 for n in range(5, 9)}
+    for n in rejected:
+        while rejected[n] < 5:
+            mul = random_loop(rng, n)
+            if not two_sided_inverses(mul):
+                continue
+            if associative_by_triple_loop(mul):
+                FiniteGroupTable(n, mul, 0)  # a group: accepted
+                continue
+            with pytest.raises(ValueError, match="associativity"):
+                FiniteGroupTable(n, mul, 0)
+            rejected[n] += 1
+
+
+def test_check_laws_verdict_matches_triple_loop_on_random_tables():
+    # relabelled groups are accepted; swapping an intercalate of one
+    # keeps a loop, and the verdict must be the triple loop's
+    rng = random.Random(7)
+    groups = [
+        FiniteGroupTable.elementary_abelian(3),
+        FiniteGroupTable.dihedral(2),
+        FiniteGroupTable.symmetric(3),
+        FiniteGroupTable.product(FiniteGroupTable.z2(), FiniteGroupTable.dihedral(1)),
+    ]
+    for group in groups:
+        n = group.order
+        for _ in range(10):
+            perm = list(range(n))
+            rest = perm[1:]
+            rng.shuffle(rest)
+            perm[1:] = rest
+            inv_perm = {p: i for i, p in enumerate(perm)}
+            mul = [[perm[group.mul[inv_perm[a]][inv_perm[b]]] for b in range(n)] for a in range(n)]
+            FiniteGroupTable(n, tuple(tuple(r) for r in mul), 0)  # an isomorphic copy
+            for _ in range(200):
+                a, b, c = (rng.randrange(1, n) for _ in range(3))
+                d = mul[b].index(mul[a][c])
+                if a != b and d and mul[a][d] == mul[b][c] and 0 not in (mul[a][c], mul[a][d]):
+                    mul[a][c], mul[a][d] = mul[a][d], mul[a][c]
+                    mul[b][c], mul[b][d] = mul[b][d], mul[b][c]
+                    break
+            table = tuple(tuple(r) for r in mul)
+            if not two_sided_inverses(table):
+                continue
+            if associative_by_triple_loop(table):
+                FiniteGroupTable(n, table, 0)
+            else:
+                with pytest.raises(ValueError, match="associativity"):
+                    FiniteGroupTable(n, table, 0)
+
+
+def test_group_laws_are_checked_above_order_200():
+    # swap an intercalate of the order-256 elementary abelian table:
+    # still a loop with two-sided inverses, no longer associative
+    n = 256
+    mul = [[a ^ b for b in range(n)] for a in range(n)]
+    a, b, c, d = 1, 2, 4, 7  # a ^ c == b ^ d and a ^ d == b ^ c
+    mul[a][c], mul[a][d] = mul[a][d], mul[a][c]
+    mul[b][c], mul[b][d] = mul[b][d], mul[b][c]
+    table = tuple(tuple(r) for r in mul)
+    witness = next(
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if table[table[x][a]][y] != table[x][table[a][y]]
+    )
+    assert witness
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroupTable(n, table, 0)
+
+
+def cayley_action_rows_pointwise(g_table, k):
+    """The action table from its definition, one labelling at a time."""
+    n = g_table.order
+    points = list(itertools.product(range(n), repeat=1 << k))
+    index = {p: i for i, p in enumerate(points)}
+    rows = []
+    for gi in range(n * n * (1 << k)):
+        lam_part, gq = gi // n, gi % n
+        u, gp = lam_part // n, lam_part % n
+        gq_inv = g_table.inv[gq]
+        rows.append(
+            tuple(
+                index[tuple(g_table.mul[g_table.mul[gp][p[u ^ w]]][gq_inv] for w in range(1 << k))]
+                for p in points
+            )
+        )
+    return tuple(rows), tuple(points)
+
+
+def test_cayley_action_matches_pointwise_definition():
+    z2, d6, d10 = FiniteGroupTable.z2(), FiniteGroupTable.dihedral(1), FiniteGroupTable.dihedral(2)
+    for table, ks in ((z2, (0, 1, 2, 3)), (d6, (0, 1, 2)), (d10, (0, 1))):
+        n = table.order
+        for k in ks:
+            action = cayley_action(table, k)
+            rows, points = cayley_action_rows_pointwise(table, k)
+            assert action.act == rows, (table.kind, k)
+            assert action.points == points
+            assert action.set_size == len(points)
+            order = n * n * (1 << k)
+            assert action.proj == tuple(gi // n for gi in range(order))
+            assert action.q_proj == tuple(gi % n for gi in range(order))
+            assert action.lam.order == n * (1 << k)
+
+
+def test_cayley_action_size_guard_precedes_tabulation():
+    with pytest.raises(SizeBoundError):
+        cayley_action(FiniteGroupTable.dihedral(2), 3)

@@ -111,3 +111,35 @@ def test_boundary_identity_implies_the_rank_two_circle_formula():
                 Torus(1), 2, DPClass.monomial(v2, (n1, n2)), CoefficientClass.unit(Torus(1))
             )
             assert CoefficientClass.from_dp(Torus(1), derived) == closed, (n1, n2)
+
+
+def test_block_d_squared_verdict_matches_per_chain_loop():
+    # the cached per-block verdict against the loop over every basis
+    # chain of the total complex that t3_verify used to run per call
+    from bgops.t3 import _DIMS, _d_squared_zero
+
+    for n1 in range(5):
+        for n2 in range(5):
+            top = n1 + n2 + 6
+            ok = True
+            for k1 in range(top + 1):
+                for k2 in range(top + 1 - k1):
+                    for q in range(4):
+                        for i in range(_DIMS[q]):
+                            if total_boundary(total_boundary({(k1, k2, q): 1 << i})):
+                                ok = False
+            assert ok
+            assert t3_verify(n1, n2).checks["total_d_squared_zero"] == ok
+            assert all(
+                _d_squared_zero(k1, k2) for k1 in range(top + 1) for k2 in range(top + 1 - k1)
+            )
+
+
+def test_cached_facts_are_recomputed_values():
+    from bgops.t3 import _cellular_facts
+
+    report = t3_verify(2, 1)
+    assert report.homology_dims == cellular_homology_dims() == [1, 3, 3, 1]
+    report.homology_dims.append(0)  # the report holds its own list
+    assert t3_verify(2, 1).homology_dims == [1, 3, 3, 1]
+    assert _cellular_facts() == (True, (1, 3, 3, 1))
