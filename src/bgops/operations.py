@@ -24,6 +24,7 @@ silently returning zero.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -333,16 +334,17 @@ class CoefficientClass:
 
     def __post_init__(self) -> None:
         factors = atomic_factors(self.group)
+        # generator count per factor, None for SU(2)
+        sizes = [None if gens is None else len(gens) for gens in map(factor_generators, factors)]
         for t in self.terms:
             if len(t) != len(factors):
                 raise ValueError("tensor length does not match factor count")
-            for g, mono in zip(factors, t):
+            for g, size, mono in zip(factors, sizes, t):
                 if isinstance(mono, tuple):
-                    gens = factor_generators(g)
-                    if gens is None or len(mono) != len(gens) or any(e < 0 for e in mono):
+                    if size is None or len(mono) != size or min(mono) < 0:
                         raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
                 else:
-                    if factor_generators(g) is not None or mono < 0:
+                    if size is not None or mono < 0:
                         raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
 
     @classmethod
@@ -527,6 +529,22 @@ def A_count(
 
     ``mode`` is "exact" for the integer count or "parity" for its value
     mod 2.  Mismatched totals give 0.
+
+    Dynamic programme over binary digits i = 0 .. width - 1.  At digit i
+    each column with bit i set hands that bit to one row; if m_r columns
+    pick row r, row r gains m_r 2^i.  The state is the per-row carries
+    c_r (the part of that gain not yet matched against the row sum)
+    together with a k*l-bit mask of the entries that are already
+    nonzero.  Assignments are grouped by their count vector m: a group
+    survives when c_r + m_r has the parity of bit i of row r's sum, and
+    the new carry is (c_r + m_r) >> 1.  The answer is the count on the
+    state with a full mask and carries equal to the row sums shifted
+    past the last digit.  States that cannot reach it are dropped: a
+    carry above what is left of its row sum, or a mask missing an entry
+    of a column whose last bit has passed.  A carry stays below l, so
+    there are at most l^k 2^(kl) states and k^l assignments per digit,
+    whatever the sums: the cost is linear in their bit length.  In
+    parity mode counts are kept mod 2 and even states are dropped.
     """
     if mode not in ("parity", "exact"):
         raise ValueError("mode must be 'parity' or 'exact'")
@@ -537,29 +555,49 @@ def A_count(
         raise ValueError("sums must be non-negative")
     if sum(row_sums) != sum(col_sums):
         return 0
-    # DP over columns; state = remaining row sums
-    states: dict[tuple[int, ...], int] = {tuple(row_sums): 1}
-    for e in col_sums:
-        bits = [1 << i for i in range(e.bit_length()) if (e >> i) & 1]
-        if len(bits) < k:
-            return 0  # k positive entries need k distinct powers of two
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            for assign in itertools.product(range(k), repeat=len(bits)):
-                if len(set(assign)) < k:
-                    continue  # some row would get entry 0
-                portions = [0] * k
-                for bit, row in zip(bits, assign):
-                    portions[row] += bit
-                new_state = tuple(s - p for s, p in zip(state, portions))
-                if any(s < 0 for s in new_state):
-                    continue
-                nxt[new_state] = nxt.get(new_state, 0) + count
-        states = nxt
+    if any(bin(e).count("1") < k for e in col_sums):
+        return 0  # k positive entries of a column need k distinct powers of two
+    width = max(col_sums).bit_length()
+    column = ((1 << (k * l)) - 1) // ((1 << l) - 1)  # one bit per row, column 0
+    # carries -> {mask: count}; entry (r, j) is bit r * l + j of the mask
+    states: dict[tuple[int, ...], dict[int, int]] = {(0,) * k: {0: 1}}
+    for i in range(width):
+        bits = [(n >> i) & 1 for n in row_sums]
+        caps = [n >> (i + 1) for n in row_sums]
+        # every entry of a column whose last bit is this one must now be set
+        done = sum(column << j for j, e in enumerate(col_sums) if e.bit_length() == i + 1)
+        # assignments of this digit's column bits to rows, grouped by the
+        # parity pattern of their count vector m, then by m
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], list[int]]] = {}
+        digit_cols = [j for j, e in enumerate(col_sums) if (e >> i) & 1]
+        for assign in itertools.product(range(k), repeat=len(digit_cols)):
+            m = [0] * k
+            added = 0
+            for j, r in zip(digit_cols, assign):
+                m[r] += 1
+                added |= 1 << (r * l + j)
+            pattern = tuple([v & 1 for v in m])
+            groups.setdefault(pattern, {}).setdefault(tuple(m), []).append(added)
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for carries, masks in states.items():
+            pattern = tuple([(b - c) & 1 for b, c in zip(bits, carries)])
+            for m, additions in groups.get(pattern, {}).items():
+                new = tuple([(c + v) >> 1 for c, v in zip(carries, m)])
+                if any(map(operator.gt, new, caps)):
+                    continue  # more than the rest of a row sum
+                out = nxt.setdefault(new, {})
+                for mask, count in masks.items():
+                    for added in additions:
+                        added |= mask
+                        if added & done == done:
+                            out[added] = out.get(added, 0) + count
+        if mode == "parity":
+            nxt = {c: {s: 1 for s, n in masks.items() if n & 1} for c, masks in nxt.items()}
+        states = {c: masks for c, masks in nxt.items() if masks}
         if not states:
             return 0
-    total = states.get((0,) * k, 0)
-    return total if mode == "exact" else total & 1
+    final = states.get(tuple(n >> width for n in row_sums), {})
+    return final.get((1 << (k * l)) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -620,26 +658,31 @@ def multiplier(g: GroupDescriptor, k: int, a: DPClass) -> CoefficientClass:
     if k == 0:
         # a is a scalar multiple of the unit class over zero generators
         return CoefficientClass.unit(g) if () in a.terms else CoefficientClass.zero(g)
+    acc: set[TensorTerm] = set()
+    for mono in a.terms:
+        acc ^= _monomial_multiplier(g, mono)
+    return CoefficientClass(g, frozenset(acc))
+
+
+def _monomial_multiplier(g: GroupDescriptor, mono: DPMonomial) -> set[TensorTerm]:
+    """Terms of C(x^[mono]) for a supported pair (g, k = len(mono)), k >= 1."""
     if isinstance(g, Dihedral) or (isinstance(g, Z2Power) and g.l == 1):
-        return _rank_one_multiplier(g, a)
+        return _rank_one_terms(mono)
     if isinstance(g, Z2Power):
-        return _z2power_multiplier(g, a)
+        return _z2power_terms(g.l, mono)
     if isinstance(g, SU2):
-        return _su2_multiplier(g, a)
+        return _su2_terms(mono)
     if isinstance(g, Torus) and g.l == 1:
-        return _circle_multiplier(g, k, a)
+        return _circle_terms(mono)
     if isinstance(g, Torus):
         # as a product of l circles: (e_1) (x) ... (x) (e_l) is y1^[e_1]...yl^[e_l]
-        terms = _coproduct_terms((Torus(1),) * g.l, k, a)
-        return CoefficientClass(g, frozenset((tuple(e for (e,) in t),) for t in terms))
+        return {(tuple(e for (e,) in t),) for t in _coproduct_terms((Torus(1),) * g.l, mono)}
     assert isinstance(g, ProductGroup)
-    return CoefficientClass(g, frozenset(_coproduct_terms(g.factors, k, a)))
+    return _coproduct_terms(g.factors, mono)
 
 
-def _coproduct_terms(
-    factors: tuple[GroupDescriptor, ...], k: int, a: DPClass
-) -> set[TensorTerm]:
-    """Product formula: split a through the diagonal coproduct.
+def _coproduct_terms(factors: tuple[GroupDescriptor, ...], mono: DPMonomial) -> set[TensorTerm]:
+    """Product formula: split x^[mono] through the diagonal coproduct.
 
     Left-nested: the first factor receives the left coproduct leg, the
     remaining factors recurse on the right leg, and the factor terms are
@@ -647,17 +690,16 @@ def _coproduct_terms(
     """
     head, tail = factors[0], factors[1:]
     if not tail:
-        return set(multiplier(head, k, a).terms)
+        return _monomial_multiplier(head, mono)
     out: set[TensorTerm] = set()
-    for mono in a.terms:
-        for left, right in dp_coproduct(mono):
-            heads = multiplier(head, k, DPClass.monomial(a.gens, left)).terms
-            if not heads:
-                continue
-            rest = _coproduct_terms(tail, k, DPClass.monomial(a.gens, right))
-            for s in heads:
-                for t in rest:
-                    out ^= {s + t}
+    for left, right in dp_coproduct(mono):
+        heads = _monomial_multiplier(head, left)
+        if not heads:
+            continue
+        rest = _coproduct_terms(tail, right)
+        for s in heads:
+            for t in rest:
+                out ^= {s + t}
     return out
 
 
@@ -675,27 +717,74 @@ def alpha(
     return multiplier(g, k, a) * b
 
 
-def _rank_one_multiplier(g: GroupDescriptor, a: DPClass) -> CoefficientClass:
+def _rank_one_terms(mono: DPMonomial) -> set[TensorTerm]:
     """Z/2 target (and dihedral targets, transported)."""
-    acc: set[TensorTerm] = set()
-    for mono in a.terms:
-        if all(e > 0 for e in mono) and multinomial_parity(mono):
-            acc ^= {((sum(mono),),)}
-    return CoefficientClass(g, frozenset(acc))
+    if all(e > 0 for e in mono) and multinomial_parity(mono):
+        return {((sum(mono),),)}
+    return set()
 
 
-def _z2power_multiplier(g: Z2Power, a: DPClass) -> CoefficientClass:
-    """Rank-l elementary abelian target via the matrix-count fast path."""
-    acc: set[TensorTerm] = set()
-    for mono in a.terms:
-        if any(e == 0 for e in mono):
-            continue
-        # every column carries len(mono) positive entries, so its sum is at
-        # least that; smaller compositions cannot contribute
-        for cols in compositions(sum(mono), g.l, len(mono)):
-            if A_count(mono, cols, "parity"):
-                acc ^= {(cols,)}
-    return CoefficientClass(g, frozenset(acc))
+def _z2power_terms(l: int, mono: DPMonomial) -> set[TensorTerm]:
+    """Rank-l elementary abelian target via the matrix-count fast path.
+
+    The term t^[c] of C(x^[n]) is present when A_count(n, c) is odd.  All
+    column vectors c are found in one pass over the columns instead of
+    one A_count call per composition of |n|: the state after j columns is
+    (remaining row sums, column sums so far), with its number of partial
+    matrices kept mod 2.  Column j takes parts 0 < p_r <= rem_r that are
+    pairwise bit-disjoint, enumerated as submasks of the bits still free,
+    and its sum is their OR; each row keeps at least one unit for every
+    column still to come.  The last column is forced: the remainders must
+    be positive and pairwise bit-disjoint.
+
+    The work is one step per (state, column choice), and only choices
+    that a valid matrix can start with are made.  It is not linear in
+    the bit length of n, since C(x^[n]) itself can have about n^(l-1)
+    terms (k = 1), but it no longer pays an A_count call for each of the
+    compositions of |n|, most of which have no valid matrix.
+    """
+    states: set[tuple[tuple[int, ...], tuple[int, ...]]] = {(mono, ())}
+    for later in range(l - 2, -1, -1):  # columns after the current one
+        nxt: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        for rem, prefix in states:
+            free = (1 << max(rem).bit_length()) - 1
+            for rest, total in _column_choices(rem, later, free):
+                nxt ^= {(rest, prefix + (total,))}
+        states = nxt
+    out: set[TensorTerm] = set()
+    for rem, prefix in states:
+        union = 0
+        for part in rem:
+            if part <= 0 or union & part:
+                break
+            union |= part
+        else:
+            out ^= {(prefix + (union,),)}
+    return out
+
+
+def _column_choices(
+    rem: tuple[int, ...], later: int, free: int
+) -> Iterable[tuple[tuple[int, ...], int]]:
+    """(rem - p, sum of p) for each column p of pairwise bit-disjoint parts.
+
+    Each part is a nonempty submask of ``free`` (the bits no earlier row
+    took) with p_r <= rem_r - later, so that row r keeps one unit for each
+    of the ``later`` columns still to come.
+    """
+    if not rem:
+        yield (), 0
+        return
+    cap = rem[0] - later
+    if cap <= 0:
+        return
+    sub = free & ((1 << cap.bit_length()) - 1)
+    part = sub
+    while part:
+        if part <= cap:
+            for rest, total in _column_choices(rem[1:], later, free & ~part):
+                yield (rem[0] - part,) + rest, total + part
+        part = (part - 1) & sub
 
 
 def alpha_z2power_bruteforce(
@@ -716,27 +805,24 @@ def alpha_z2power_bruteforce(
     return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
 
 
-def _circle_multiplier(g: Torus, k: int, a: DPClass) -> CoefficientClass:
-    gens = factor_generators(g)
-    assert gens is not None
-    acc = DPClass.zero(gens)
-    if k == 1:
-        for (n,) in a.terms:
-            acc += beta_push(DPClass.monomial(a.gens, (n + 1,)), gens)
+def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
+    """The circle: the halving map applied to one exponent (k <= 2)."""
+    if len(mono) == 1:
+        top = mono[0] + 1
     else:
-        assert k == 2
-        one_gen = GeneratorSet.v_basis(1)
-        for n1, n2 in a.terms:
-            if not binom_parity(n1 + n2 + 2, n1 + 1):
-                acc += beta_push(DPClass.monomial(one_gen, (n1 + n2 + 3,)), gens)
-    return CoefficientClass.from_dp(g, acc)
+        n1, n2 = mono
+        if binom_parity(n1 + n2 + 2, n1 + 1):
+            return set()
+        top = n1 + n2 + 3
+    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (top,))
+    return {(t,) for t in beta_push(lifted, GeneratorSet.torus_basis(1)).terms}
 
 
-def _su2_multiplier(g: SU2, a: DPClass) -> CoefficientClass:
-    out = SU2Class.zero()
-    for (n,) in a.terms:
-        out += su2_act(DPClass.monomial(a.gens, (n + 3,)), SU2Class.unit())
-    return CoefficientClass.from_su2(g, out)
+def _su2_terms(mono: DPMonomial) -> set[TensorTerm]:
+    """SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0."""
+    (n,) = mono
+    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (n + 3,))
+    return {(m,) for m in su2_act(lifted, SU2Class.unit()).terms}
 
 
 # ---------------------------------------------------------------------------

@@ -497,8 +497,8 @@ class BarSpace:
     words: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
     reps: list[int]  # cycle bitmasks over words
+    # boundaries and representatives, with coordinates over the representatives
     _solver: SpanSolver = field(repr=False, default=None)  # type: ignore[assignment]
-    _rep_positions: list[int] = field(repr=False, default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -522,11 +522,7 @@ class BarSpace:
         combo = self._solver.coordinates(mask)
         if combo is None:
             raise ValueError("chain is not a cycle homologous to the stored spans")
-        out = 0
-        for j, pos in enumerate(self._rep_positions):
-            if (combo >> pos) & 1:
-                out |= 1 << j
-        return out
+        return combo
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -569,7 +565,9 @@ def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
         if solver.add(v):
             reps.append(v)
             rep_positions.append(pos)
-    return BarSpace(table, degree, words, index, reps, solver, rep_positions)
+    # class_coordinates reads only the representatives' coordinates, so the
+    # combinations over every inserted boundary are not kept
+    return BarSpace(table, degree, words, index, reps, solver.project(rep_positions))
 
 
 @dataclass

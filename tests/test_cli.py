@@ -120,6 +120,10 @@ def test_acount(capsys):
     code, doc, _ = run_json(capsys, "acount", "--rows", "1,1", "--cols", "2")
     assert code == EXIT_ZERO
     assert doc["count"] == 0
+    wide = "31,31,31,31"
+    code, out, _ = run(capsys, "acount", "--rows", wide, "--cols", wide, "--mode", "exact")
+    assert code == EXIT_NONZERO
+    assert out == "83520\n"
 
 
 def test_witness(capsys):

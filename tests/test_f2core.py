@@ -169,3 +169,22 @@ def test_span_solver_matches_rref(case):
                 if (combo >> j) & 1:
                     acc ^= w
             assert acc == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(VECTOR_LISTS, st.data())
+def test_projected_solver_coordinates_are_projections(case, data):
+    width, vectors, probes = case
+    solver = SpanSolver()
+    for v in vectors:
+        solver.add(v)
+    indices = st.sampled_from(range(len(vectors))) if vectors else st.nothing()
+    positions = data.draw(st.lists(indices, unique=True))
+    projected = solver.project(positions)
+    assert projected.rank == solver.rank
+    for v in list(vectors) + probes:
+        combo = solver.coordinates(v)
+        expected = None
+        if combo is not None:
+            expected = sum(1 << j for j, pos in enumerate(positions) if (combo >> pos) & 1)
+        assert projected.coordinates(v) == expected

@@ -12,9 +12,18 @@ import random
 
 import pytest
 
-from bgops.gradedalg import DPClass, GeneratorSet, SU2Class, dp_coproduct, dp_multiply, su2_act
+from bgops.gradedalg import (
+    DPClass,
+    GeneratorSet,
+    SU2Class,
+    compositions,
+    dp_coproduct,
+    dp_multiply,
+    su2_act,
+)
 from bgops.operations import (
     SU2,
+    A_count,
     CoefficientClass,
     ProductGroup,
     Torus,
@@ -110,6 +119,35 @@ def test_multiplier_against_per_class_routes():
                 c = multiplier(g, k, a)
                 for b in basis_up_to(g, 4):
                     assert split_route(g, k, a, b) == (c * b).terms, (spec, a, b)
+
+
+def multiplier_by_compositions(l: int, mono: tuple[int, ...]) -> frozenset:
+    """C(x^[n]) on z2^l by its definition in the ``multiplier`` docstring:
+    t^[c] for every column vector c whose matrix count A_count(n, c) is odd.
+    A column of k positive entries sums to at least k."""
+    cols = compositions(sum(mono), l, len(mono))
+    return frozenset((c,) for c in cols if A_count(mono, c, "parity"))
+
+
+def z2power_cases():
+    rng = random.Random(4)
+    for l in (2, 3, 4):
+        for n in range(17):
+            yield l, (n,)
+        pairs = list(itertools.product(range(17), repeat=2))
+        yield from ((l, p) for p in (pairs if l == 2 else rng.sample(pairs, 24)))
+        for _ in range(40 if l < 4 else 20):
+            yield l, tuple(rng.randint(0, 16) for _ in range(3))
+
+
+def test_one_pass_multiplier_matches_column_vector_definition():
+    nonzero = 0
+    for l, mono in z2power_cases():
+        a = DPClass.monomial(GeneratorSet.v_basis(len(mono)), mono)
+        c = multiplier(Z2Power(l), len(mono), a)
+        assert c.terms == multiplier_by_compositions(l, mono), (l, mono)
+        nonzero += bool(c)
+    assert nonzero > 100
 
 
 # ---------------------------------------------------------------------------

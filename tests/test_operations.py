@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgops.f2core import F2Matrix, binom_parity
 from bgops.gradedalg import DPClass, GeneratorSet, SU2Class, dp_multiply, linear_push
@@ -244,6 +246,92 @@ def test_a_count_against_exhaustive():
     for rows, cols in cases:
         assert A_count(rows, cols, "exact") == a_count_exhaustive(rows, cols), (rows, cols)
         assert A_count(rows, cols, "parity") == a_count_exhaustive(rows, cols) & 1
+
+
+def a_count_by_columns(row_sums, col_sums, mode="parity"):
+    """The earlier A_count: a DP over columns whose state is the remaining
+    row sums, trying all k^popcount row assignments of each column's bits.
+    Oracle for the digit DP."""
+    k = len(row_sums)
+    if sum(row_sums) != sum(col_sums):
+        return 0
+    states = {tuple(row_sums): 1}
+    for e in col_sums:
+        bits = [1 << i for i in range(e.bit_length()) if (e >> i) & 1]
+        if len(bits) < k:
+            return 0  # k positive entries need k distinct powers of two
+        nxt = {}
+        for state, count in states.items():
+            for assign in itertools.product(range(k), repeat=len(bits)):
+                if len(set(assign)) < k:
+                    continue  # some row would get entry 0
+                portions = [0] * k
+                for bit, row in zip(bits, assign):
+                    portions[row] += bit
+                new_state = tuple(s - p for s, p in zip(state, portions))
+                if any(s < 0 for s in new_state):
+                    continue
+                nxt[new_state] = nxt.get(new_state, 0) + count
+        states = nxt
+        if not states:
+            return 0
+    total = states.get((0,) * k, 0)
+    return total if mode == "exact" else total & 1
+
+
+@st.composite
+def a_count_cases(draw):
+    """(rows, cols, row order, column order) with k <= 3, l <= 4, sums <= 60.
+
+    Half of the cases take their sums from a matrix whose columns split
+    the bits of their sums among the rows, a quarter from a matrix of
+    arbitrary entries (the totals agree in both), and the rest draw the
+    sums independently, so they mostly disagree."""
+    k = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 4))
+    source = draw(st.integers(0, 3))
+    if source >= 2:
+        matrix = [[0] * l for _ in range(k)]
+        top = 60 // l
+        # sums with at least k bits can give every row a positive entry
+        dense = [c for c in range(top + 1) if bin(c).count("1") >= k]
+        for j in range(l):
+            c = draw(st.one_of(st.integers(0, top), st.sampled_from(dense)))
+            bits = [1 << i for i in range(c.bit_length()) if (c >> i) & 1]
+            # the first bits go to distinct rows, so entries are mostly positive
+            owners = draw(st.permutations(range(k)))
+            owners += draw(st.lists(st.integers(0, k - 1), min_size=len(bits), max_size=len(bits)))
+            for bit, r in zip(bits, owners):
+                matrix[r][j] += bit
+        rows = tuple(map(sum, matrix))
+        cols = tuple(map(sum, zip(*matrix)))
+    elif source == 1:
+        top = 60 // max(k, l)
+        entries = draw(st.lists(st.integers(0, top), min_size=k * l, max_size=k * l))
+        rows = tuple(sum(entries[r * l : (r + 1) * l]) for r in range(k))
+        cols = tuple(sum(entries[j::l]) for j in range(l))
+    else:
+        rows = tuple(draw(st.lists(st.integers(0, 60), min_size=k, max_size=k)))
+        cols = tuple(draw(st.lists(st.integers(0, 60), min_size=l, max_size=l)))
+    return rows, cols, draw(st.permutations(range(k))), draw(st.permutations(range(l)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a_count_cases())
+def test_a_count_digit_dp_matches_column_enumerator(case):
+    rows, cols, row_order, col_order = case
+    exact = A_count(rows, cols, "exact")
+    assert exact == a_count_by_columns(rows, cols, "exact")
+    assert A_count(rows, cols, "parity") == a_count_by_columns(rows, cols, "parity")
+    permuted_rows = tuple(rows[r] for r in row_order)
+    permuted_cols = tuple(cols[j] for j in col_order)
+    assert A_count(permuted_rows, permuted_cols, "exact") == exact
+
+
+def test_a_count_wide_sums():
+    # the column enumerator needs over ten seconds for the first of these
+    assert A_count((31,) * 4, (31,) * 4, "exact") == 83520
+    assert A_count((63,) * 4, (63,) * 4, "exact") == 7467840
 
 
 def test_a_count_doubling_exact():

@@ -211,6 +211,27 @@ def test_cross_chain_of_generators_is_nonzero_cycle():
     assert coords != 0  # a nonzero homology class (a divided-power monomial)
 
 
+def test_class_coordinates_read_the_representative_basis():
+    # representative j has coordinates 1 << j, sums of representatives add
+    # their coordinates, and adding a boundary changes nothing
+    rng = random.Random(5)
+    z2 = FiniteGroupTable.z2()
+    tables = (z2, FiniteGroupTable.product(z2, z2), FiniteGroupTable.dihedral(1))
+    for table in tables:
+        for degree in range(4):
+            space = bar_space(table, degree)
+            above = bar_space(table, degree + 1)
+            for _ in range(6):
+                picks = [j for j in range(space.dim) if rng.random() < 0.5]
+                mask = 0
+                for j in picks:
+                    mask ^= space.reps[j]
+                word = above.words[rng.randrange(len(above.words))]
+                mask ^= space.chain_to_mask(bar_boundary_chain(table, frozenset({word})))
+                expected = sum(1 << j for j in picks)
+                assert space.class_coordinates(space.mask_to_chain(mask)) == expected
+
+
 # ---------------------------------------------------------------------------
 # orbit-sum evaluation vs closed forms
 
