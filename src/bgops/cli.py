@@ -37,9 +37,8 @@ from .operations import (
 )
 from .oracle import (
     FiniteGroupTable,
-    action_orbits,
+    _orbit_plan,
     bar_homology,
-    cayley_action,
     compsum_alpha,
     transfer_map,
 )
@@ -194,8 +193,9 @@ def _oracle_checks(degree_bound: int):
 
     for table, name, k_range in ((z2, "z2", (1, 2)), (d6, "d6", (1,))):
         for k in k_range:
-            orbits = action_orbits(cayley_action(table, k))
-            odd = sum(1 for o in orbits if o.image_index % 2 == 1)
+            # the plan keeps one step table per odd-index orbit, and is the
+            # same decomposition the compsum checks below reuse
+            odd = len(_orbit_plan(table.mul, table.identity, k).steps)
             yield (
                 "orbit_census",
                 {"group": name, "k": k},

@@ -30,7 +30,12 @@ class GeneratorMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered named generators with degrees in {1, 2}."""
+    """Ordered named generators with degrees in {1, 2}.
+
+    The basis constructors are cached, because ``factor_generators`` asks
+    for them on every class it builds; instances are frozen, so sharing
+    them is safe, and a bad rank raises on every call.
+    """
 
     names: tuple[str, ...]
     degrees: tuple[int, ...]
@@ -50,6 +55,7 @@ class GeneratorSet:
         return sum(d * e for d, e in zip(self.degrees, mono))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def v_basis(k: int) -> "GeneratorSet":
         """Degree-1 generators x (k = 1) or x1..xk."""
         if k < 0:
@@ -61,6 +67,7 @@ class GeneratorSet:
         return GeneratorSet(tuple(f"x{i}" for i in range(1, k + 1)), (1,) * k)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def z2_basis(l: int) -> "GeneratorSet":
         """Degree-1 generators x (l = 1) or t1..tl."""
         if l < 1:
@@ -70,6 +77,7 @@ class GeneratorSet:
         return GeneratorSet(tuple(f"t{i}" for i in range(1, l + 1)), (1,) * l)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def torus_basis(l: int) -> "GeneratorSet":
         """Degree-2 generators y (l = 1) or y1..yl."""
         if l < 1:

@@ -434,15 +434,65 @@ def cross_chains(
     return frozenset(acc)
 
 
-def push_chain(hom: Sequence[int], target_identity: int, chain: BarChain) -> BarChain:
-    """Pushforward along a homomorphism given as an index map."""
-    acc: set[tuple[int, ...]] = set()
+StepTable = tuple[tuple[tuple[int, "int | None"], ...], ...]
+"""``steps[g][i] = (j, letter)``: one transfer step from coset i by letter g."""
+
+
+def _transfer_steps(
+    table: FiniteGroupTable, sub_embedding: Sequence[int], hom: Sequence[int]
+) -> StepTable:
+    """Tabulated chain-level transfer to a subgroup S, followed by ``hom``.
+
+    ``hom`` is a homomorphism on S, indexed by local letters.  The left
+    cosets xS are numbered by their lexicographically least representatives
+    y_0 < y_1 < ...  For a letter g and coset i, g y_i lies in coset j, the
+    lift is h = y_j^-1 g y_i in S, and the step is ``(j, hom[local(h)])``.
+    The letter is None when the image of h is the image of the identity,
+    which covers h = e: a word through that step is degenerate and dropped.
+    """
+    local = {g: i for i, g in enumerate(sub_embedding)}
+    target_identity = hom[local[table.identity]]
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for g in range(table.order):
+        if g in coset_of:
+            continue
+        # the cosets met so far cover every element below g, so g is the
+        # least member of its own coset
+        for s in sub_embedding:
+            coset_of[table.mul[g][s]] = len(reps)
+        reps.append(g)
+    steps = []
+    for row in table.mul:
+        step_row = []
+        for y in reps:
+            elem = row[y]
+            j = coset_of[elem]
+            h = table.mul[table.inv[reps[j]]][elem]
+            letter = hom[local[h]]
+            step_row.append((j, None if letter == target_identity else letter))
+        steps.append(tuple(step_row))
+    return tuple(steps)
+
+
+def _walk_steps(steps: StepTable, chain: Iterable[tuple[int, ...]], acc: set) -> None:
+    """XOR into ``acc`` the image of every word of ``chain`` under a step table.
+
+    A word is walked once from every coset; its image is the tuple of the
+    step letters, or nothing when a step is degenerate.
+    """
+    cosets = range(len(steps[0]))
     for word in chain:
-        image = tuple(hom[g] for g in word)
-        if target_identity in image:
-            continue  # degenerate word
-        acc ^= {image}
-    return frozenset(acc)
+        for start in cosets:
+            i = start
+            letters = []
+            for g in word:
+                i, letter = steps[g][i]
+                if letter is None:
+                    break
+                letters.append(letter)
+            else:
+                acc ^= {tuple(letters)}
 
 
 def transfer_chain(
@@ -454,37 +504,9 @@ def transfer_chain(
     representatives y, the lifts h_i = y(next)^-1 g_i y(prev) of each bar
     word; lifts containing an identity letter are degenerate and dropped.
     """
-    sub = set(sub_embedding)
-    local = {g: i for i, g in enumerate(sub_embedding)}
-    coset_rep: dict[int, int] = {}
-    reps = []
-    for g in range(table.order):
-        if g in coset_rep:
-            continue
-        coset = sorted(table.mul[g][s] for s in sub)
-        rep = coset[0]
-        reps.append(rep)
-        for member in coset:
-            coset_rep[member] = rep
-    local_id = local[table.identity]
+    steps = _transfer_steps(table, sub_embedding, range(len(sub_embedding)))
     acc: set[tuple[int, ...]] = set()
-    for word in chain:
-        for start in reps:
-            prev = start
-            letters = []
-            ok = True
-            for g in word:
-                elem = table.mul[g][prev]
-                nxt = coset_rep[elem]
-                h = table.mul[table.inv[nxt]][elem]
-                hi = local[h]
-                if hi == local_id:
-                    ok = False
-                    break
-                letters.append(hi)
-                prev = nxt
-            if ok:
-                acc ^= {tuple(letters)}
+    _walk_steps(steps, chain, acc)
     return frozenset(acc)
 
 
@@ -795,6 +817,42 @@ def _dihedral_s(g_table: FiniteGroupTable) -> int:
     raise ValueError("expected a z2 or dihedral table")
 
 
+@dataclass(frozen=True)
+class OrbitPlan:
+    """What the orbit sum needs of the two-basepoint action of one (G, k).
+
+    ``lam`` is V_k x G; ``steps`` holds, for each orbit whose projected
+    stabilizer image has odd index, the step table of the transfer to that
+    image followed by its q-coordinate.  Neither the action table nor the
+    point set is kept.
+    """
+
+    lam: FiniteGroupTable
+    steps: tuple[StepTable, ...]
+
+
+@lru_cache(maxsize=None)
+def _orbit_plan(mul: tuple[tuple[int, ...], ...], identity: int, k: int) -> OrbitPlan:
+    """The orbit plan of the group with table ``mul``, built once per process.
+
+    Keyed on the table's content, because ``FiniteGroupTable`` is not
+    hashable.  The action and its orbit decomposition are built with every
+    check of ``cayley_action`` and ``action_orbits``; a ``SizeBoundError``
+    propagates and caches nothing.  ``SIZE_BOUND`` leaves few feasible
+    (G, k), so the cache stays small.
+    """
+    action = cayley_action(FiniteGroupTable(len(mul), mul, identity), k)
+    steps = []
+    for orbit in action_orbits(action):
+        if orbit.image_index % 2 == 0:
+            continue
+        # q-component of the stabilizer element over each projected image point
+        q_of = {action.proj[gi]: action.q_proj[gi] for gi in orbit.stabilizer}
+        hom = [q_of[parent] for parent in orbit.image]
+        steps.append(_transfer_steps(action.lam, orbit.image, hom))
+    return OrbitPlan(action.lam, tuple(steps))
+
+
 def compsum_alpha(
     g_table: FiniteGroupTable,
     k: int,
@@ -811,6 +869,13 @@ def compsum_alpha(
     transfer to the projected stabilizer followed by the map induced by
     the q-coordinate of the stabilizer.  The resulting cycle is read off
     in the canonical basis.
+
+    The orbit structure depends only on (G, k), so it comes from
+    ``_orbit_plan``, built once per process: per surviving orbit, a table
+    of transfer steps whose letters are already pushed along the
+    q-coordinate.  Transfer and pushforward are both GF(2)-linear, so one
+    walk of the canonical cycle through each table, XORed into the output,
+    is the same sum as transferring the whole cycle and then pushing it.
     """
     descriptor = g_table.descriptor()
     if b.group != descriptor:
@@ -826,23 +891,11 @@ def compsum_alpha(
     if total > max_degree:
         raise SizeBoundError(f"degree {total} exceeds max_degree {max_degree}")
 
-    action = cayley_action(g_table, k)
-    lam = action.lam
-    orbits = action_orbits(action)
-
-    cycle = _canonical_cycle(g_table, lam, k, a, b_dp)
+    plan = _orbit_plan(g_table.mul, g_table.identity, k)
+    cycle = _canonical_cycle(g_table, plan.lam, k, a, b_dp)
     out: set[tuple[int, ...]] = set()
-    for orbit in orbits:
-        if orbit.image_index % 2 == 0:
-            continue
-        # q-component of the stabilizer element over each projected image point
-        q_of: dict[int, int] = {}
-        for gi in orbit.stabilizer:
-            q_of[action.proj[gi]] = action.q_proj[gi]
-        sub_embedding = orbit.image
-        transferred = transfer_chain(lam, sub_embedding, cycle)
-        hom = [q_of[parent] for parent in sub_embedding]
-        out ^= set(push_chain(hom, g_table.identity, transferred))
+    for steps in plan.steps:
+        _walk_steps(steps, cycle, out)
 
     out_chain: BarChain = frozenset(out)
     if bar_boundary_chain(g_table, out_chain):

@@ -207,3 +207,22 @@ def test_homogeneity_helpers():
     with pytest.raises(ValueError):
         a.homogeneous_degree()
     assert mono(G2, 2, 1).homogeneous_degree() == 3
+
+
+def test_basis_constructors_are_shared_and_still_validate():
+    for make, good, bad in (
+        (GeneratorSet.v_basis, (0, 1, 3), -1),
+        (GeneratorSet.z2_basis, (1, 2, 4), 0),
+        (GeneratorSet.torus_basis, (1, 3), 0),
+    ):
+        for rank in good:
+            assert make(rank) is make(rank)
+            assert len(make(rank)) == rank
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                make(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+    assert GeneratorSet.v_basis(2) == GeneratorSet(("x1", "x2"), (1, 1))
+    assert GeneratorSet.torus_basis(1) == GeneratorSet(("y",), (2,))

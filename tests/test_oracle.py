@@ -1,13 +1,21 @@
+import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgops.gradedalg import DPClass, GeneratorSet
 from bgops.operations import CoefficientClass, Dihedral, Z2Power, alpha
+from bgops import oracle
 from bgops.oracle import (
+    FiniteAction,
     FiniteGroupTable,
     SizeBoundError,
+    _orbit_plan,
+    _walk_steps,
     action_orbits,
     bar_boundary_chain,
     bar_homology,
@@ -587,3 +595,234 @@ def test_cayley_action_matches_pointwise_definition():
 def test_cayley_action_size_guard_precedes_tabulation():
     with pytest.raises(SizeBoundError):
         cayley_action(FiniteGroupTable.dihedral(2), 3)
+
+
+# ---------------------------------------------------------------------------
+# the cached orbit plan against the per-orbit route
+
+
+def transfer_chain_by_cosets(table, sub_embedding, chain):
+    """The coset walk that ``transfer_chain`` did before its step tables."""
+    sub = set(sub_embedding)
+    local = {g: i for i, g in enumerate(sub_embedding)}
+    coset_rep = {}
+    reps = []
+    for g in range(table.order):
+        if g in coset_rep:
+            continue
+        coset = sorted(table.mul[g][s] for s in sub)
+        rep = coset[0]
+        reps.append(rep)
+        for member in coset:
+            coset_rep[member] = rep
+    local_id = local[table.identity]
+    acc = set()
+    for word in chain:
+        for start in reps:
+            prev = start
+            letters = []
+            ok = True
+            for g in word:
+                elem = table.mul[g][prev]
+                nxt = coset_rep[elem]
+                h = table.mul[table.inv[nxt]][elem]
+                hi = local[h]
+                if hi == local_id:
+                    ok = False
+                    break
+                letters.append(hi)
+                prev = nxt
+            if ok:
+                acc ^= {tuple(letters)}
+    return frozenset(acc)
+
+
+def push_chain(hom, target_identity, chain):
+    """Pushforward along a homomorphism given as an index map."""
+    acc = set()
+    for word in chain:
+        image = tuple(hom[g] for g in word)
+        if target_identity in image:
+            continue  # degenerate word
+        acc ^= {image}
+    return frozenset(acc)
+
+
+def odd_orbit_pushes(action):
+    """(image, hom) of every odd-index orbit, in ``action_orbits`` order."""
+    out = []
+    for orbit in action_orbits(action):
+        if orbit.image_index % 2 == 0:
+            continue
+        q_of = {action.proj[gi]: action.q_proj[gi] for gi in orbit.stabilizer}
+        out.append((orbit.image, [q_of[parent] for parent in orbit.image]))
+    return out
+
+
+def compsum_by_orbits(g_table, action, pushes, k, a, b):
+    """The orbit sum as one transfer and one pushforward per odd orbit."""
+    b_dp = b.as_dp()
+    total = a.homogeneous_degree() + b_dp.homogeneous_degree()
+    cycle = oracle._canonical_cycle(g_table, action.lam, k, a, b_dp)
+    out = set()
+    for image, hom in pushes:
+        transferred = transfer_chain_by_cosets(action.lam, image, cycle)
+        out ^= set(push_chain(hom, g_table.identity, transferred))
+    out_chain = frozenset(out)
+    assert not bar_boundary_chain(g_table, out_chain)
+    gens = GeneratorSet.z2_basis(1)
+    if oracle._canonical_coordinate(g_table, out_chain, total):
+        return CoefficientClass.from_dp(b.group, DPClass.monomial(gens, (total,)))
+    return CoefficientClass.from_dp(b.group, DPClass.zero(gens))
+
+
+# (table, descriptor, k, largest total degree): the ranges of the oracle benchmark
+COMPSUM_RANGES = (
+    (FiniteGroupTable.z2, Z2Power(1), 1, 10),
+    (FiniteGroupTable.z2, Z2Power(1), 2, 10),
+    (FiniteGroupTable.z2, Z2Power(1), 3, 8),
+    (lambda: FiniteGroupTable.dihedral(1), Dihedral(1), 1, 6),
+    (lambda: FiniteGroupTable.dihedral(1), Dihedral(1), 2, 4),
+    (lambda: FiniteGroupTable.dihedral(2), Dihedral(2), 1, 4),
+)
+
+
+def test_compsum_matches_per_orbit_route():
+    gens = GeneratorSet.z2_basis(1)
+    nonzero = 0
+    for make, g, k, max_total in COMPSUM_RANGES:
+        table = make()
+        action = cayley_action(table, k)
+        pushes = odd_orbit_pushes(action)
+        for mono in itertools.product(range(1, max_total + 1), repeat=k):
+            for m in range(3):
+                if sum(mono) + m > max_total:
+                    continue
+                a = DPClass.monomial(GeneratorSet.v_basis(k), mono)
+                b = CoefficientClass.from_dp(g, DPClass.monomial(gens, (m,)))
+                out = compsum_alpha(table, k, a, b)
+                assert out == compsum_by_orbits(table, action, pushes, k, a, b), (g, k, mono, m)
+                nonzero += not out.is_zero()
+    assert nonzero > 20
+
+
+ORBIT_CASES = (
+    (FiniteGroupTable.z2(), 1),
+    (FiniteGroupTable.z2(), 2),
+    (FiniteGroupTable.z2(), 3),
+    (FiniteGroupTable.dihedral(1), 1),
+    (FiniteGroupTable.dihedral(1), 2),
+    (FiniteGroupTable.dihedral(2), 1),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_reference(case: int):
+    """Lambda and the odd-orbit pushes of ORBIT_CASES[case], built once per test run."""
+    table, k = ORBIT_CASES[case]
+    action = cayley_action(table, k)
+    return action.lam, odd_orbit_pushes(action)
+
+
+def bar_chains(order: int, identity: int):
+    letters = st.sampled_from([g for g in range(order) if g != identity])
+    words = st.lists(letters, max_size=4).map(tuple)
+    return st.frozensets(words, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(ORBIT_CASES))), st.data())
+def test_step_table_walk_is_transfer_then_push(case, data):
+    table, k = ORBIT_CASES[case]
+    lam, pushes = orbit_reference(case)
+    plan = _orbit_plan(table.mul, table.identity, k)
+    assert len(plan.steps) == len(pushes) == 1 << k
+    chain = data.draw(bar_chains(lam.order, lam.identity))
+    for steps, (image, hom) in zip(plan.steps, pushes):
+        walked = set()
+        _walk_steps(steps, chain, walked)
+        transferred = transfer_chain_by_cosets(lam, image, chain)
+        assert frozenset(walked) == push_chain(hom, table.identity, transferred)
+
+
+def subgroups():
+    v2, d6, d10 = (
+        FiniteGroupTable.elementary_abelian(2),
+        FiniteGroupTable.dihedral(1),
+        FiniteGroupTable.dihedral(2),
+    )
+    yield from ((v2, sub) for sub in ([0], [0, 1], [0, 2], [0, 3], [0, 1, 2, 3]))
+    yield from ((d6, sub) for sub in ([0], [0, 3], [0, 4], [0, 5], [0, 1, 2], range(6)))
+    yield from ((d10, sub) for sub in ([0], [0, 5], [0, 7], [0, 9], [0, 1, 2, 3, 4], range(10)))
+
+
+SUBGROUPS = list(subgroups())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(SUBGROUPS))), st.data())
+def test_transfer_chain_matches_coset_walk(case, data):
+    table, sub = SUBGROUPS[case]
+    _, emb = table.subgroup(sub)
+    chain = data.draw(bar_chains(table.order, table.identity))
+    assert transfer_chain(table, emb, chain) == transfer_chain_by_cosets(table, emb, chain)
+
+
+def test_orbit_plan_is_keyed_on_table_content():
+    d6 = FiniteGroupTable.dihedral(1)
+    a = DPClass.monomial(V1, (2,))
+    b = CoefficientClass.unit(Dihedral(1))
+    expected = compsum_alpha(d6, 1, a, b)
+    plan = _orbit_plan(d6.mul, d6.identity, 1)
+    # an equal table built from fresh row tuples, without the dihedral kind
+    generic = FiniteGroupTable(d6.order, tuple(tuple(row) for row in d6.mul), d6.identity)
+    assert generic.kind == "generic" and generic.mul is not d6.mul
+    hits = _orbit_plan.cache_info().hits
+    assert _orbit_plan(generic.mul, generic.identity, 1) is plan
+    assert _orbit_plan.cache_info().hits == hits + 1
+    assert len(plan.steps) == 2
+    assert compsum_alpha(d6, 1, a, b) == expected == alpha(Dihedral(1), 1, a, b)
+
+
+def test_oversized_orbit_plan_raises_before_tabulating_and_caches_nothing(monkeypatch):
+    def tabulated(*args):
+        raise AssertionError("the action was tabulated")
+
+    monkeypatch.setattr(oracle, "_point_map", tabulated)
+    monkeypatch.setattr(FiniteGroupTable, "product", classmethod(tabulated))
+    size = _orbit_plan.cache_info().currsize
+    a = DPClass.monomial(GeneratorSet.v_basis(3), (1, 1, 1))
+    with pytest.raises(SizeBoundError):
+        compsum_alpha(FiniteGroupTable.dihedral(2), 3, a, CoefficientClass.unit(Dihedral(2)))
+    assert _orbit_plan.cache_info().currsize == size
+
+
+def reachable(root):
+    """Every object reachable from root through containers and dataclass fields."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+
+
+def test_orbit_plan_keeps_no_action_table():
+    for table, k in ORBIT_CASES[1:]:
+        set_size = table.order ** (1 << k)
+        assert table.order << k != set_size
+        plan = _orbit_plan(table.mul, table.identity, k)
+        objects = list(reachable(plan))
+        assert any(isinstance(obj, FiniteGroupTable) for obj in objects)
+        for obj in objects:
+            assert not isinstance(obj, FiniteAction)
+            assert not (isinstance(obj, tuple) and len(obj) == set_size), (table.kind, k)
+
