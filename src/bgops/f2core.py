@@ -180,13 +180,36 @@ class SpanSolver:
 
     def add(self, v: int) -> bool:
         """Insert v; returns True if it enlarged the span."""
+        return not self.add_relation(v)
+
+    def add_relation(self, v: int) -> int:
+        """Insert v; returns 0 if it enlarged the span, else the relation.
+
+        The relation is the combination mask, v's own bit included, of
+        inserted vectors that sums to zero.  Inserting the columns of a
+        matrix in order, the relations are the reduced-echelon kernel
+        basis that ``f2_rank_kernel`` returns: a stored row combines only
+        columns that enlarged the span, and the kernel vector supported on
+        one dependent column and those is unique.
+        """
         combo = 1 << self._count
         self._count += 1
         v, combo = self._reduce(v, combo)
         if v == 0:
-            return False
+            return combo
         self._rows[v.bit_length()] = (v, combo)
-        return True
+        return 0
+
+    def add_modulo(self, v: int) -> None:
+        """Enlarge the span by v without giving v a coordinate.
+
+        Coordinates are then read modulo v.  v takes no bit in the
+        combination masks, so a large span to read modulo adds no
+        tracking cost to later reductions.
+        """
+        v, combo = self._reduce(v, 0)
+        if v:
+            self._rows[v.bit_length()] = (v, combo)
 
     def _reduce(self, v: int, combo: int) -> tuple[int, int]:
         rows = self._rows

@@ -797,11 +797,12 @@ def alpha_z2power_bruteforce(
     gens = factor_generators(g)
     assert gens is not None
     l = g.l
-    acc = DPClass.zero(gens)
+    terms: set[DPMonomial] = set()
     for bits in range(1 << (l * k)):
         data = tuple((bits >> (i * k)) & ((1 << k) - 1) for i in range(l))
         matrix = F2Matrix(l, k, data)
-        acc += linear_push(matrix, a, gens)
+        terms ^= linear_push(matrix, a, gens).terms
+    acc = DPClass(gens, frozenset(terms))
     return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
 
 

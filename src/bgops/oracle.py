@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .f2core import F2Matrix, SpanSolver, f2_rank_kernel
 from .gradedalg import DPClass, GeneratorSet, compositions
@@ -554,42 +554,110 @@ def _bits(mask: int) -> Iterable[int]:
         mask &= mask - 1
 
 
+def _boundary_masks(table: FiniteGroupTable, degree: int) -> Iterator[int]:
+    """The boundary of each bar word of ``degree``, as a mask over the words
+    one degree lower, in ``bar_words`` order; no word tuple is built.
+
+    ``bar_words`` lists words in ``itertools.product`` order, so the word
+    with letter positions (i_1, ..., i_n) has the mixed-radix index
+    sum_k i_k L^(n-k), L the number of letters.  Write a word as a.b.t:
+    first letter a, second letter b, tail t, and r = b.t.  Dropping the
+    first letter gives r, dropping the last one gives index // L.  The
+    faces that merge two letters are (b a).t, unless b a = e, and a
+    followed by each merge face of r: the merge mask of r shifted by
+    a * L^(n-2).  The merge masks of the lower degrees are kept in lists;
+    the masks of ``degree`` itself are streamed.
+    """
+    letters = [g for g in range(table.order) if g != table.identity]
+    n_letters = len(letters)
+    if degree <= 1:
+        # () has no faces; the two faces of a one-letter word cancel
+        yield from [0] * (n_letters ** max(degree, 0))
+        return
+    position = {g: i for i, g in enumerate(letters)}
+    # merged[i][j]: position of letters[j] * letters[i], the merge of the
+    # pair (letters[i], letters[j]), or -1 when it is the identity
+    merged = [[position.get(table.mul[h][g], -1) for h in letters] for g in letters]
+
+    def with_merges(rest_merges: list[int], n: int) -> Iterator[tuple[int, int]]:
+        # (rest index, merge-face mask) of each degree-n word, in order
+        low = n_letters ** (n - 2)
+        for a in range(n_letters):
+            shift = a * low
+            for b in range(n_letters):
+                m = merged[a][b]
+                head = m * low
+                for tail in range(low):
+                    rest = b * low + tail
+                    mask = rest_merges[rest] << shift
+                    if m >= 0:
+                        mask ^= 1 << (head + tail)
+                    yield rest, mask
+
+    merges = [0] * n_letters
+    for n in range(2, degree):
+        merges = [mask for _, mask in with_merges(merges, n)]
+    for index, (rest, mask) in enumerate(with_merges(merges, degree)):
+        yield mask ^ (1 << rest) ^ (1 << (index // n_letters))
+
+
+def _kernel_and_image(table: FiniteGroupTable, degree: int) -> tuple[list[int], SpanSolver]:
+    """One elimination of the boundary on ``degree``: its kernel basis, in
+    the reduced-echelon order of ``f2_rank_kernel``, and the span of its
+    image, with the columns' combinations."""
+    solver = SpanSolver()
+    relations = map(solver.add_relation, _boundary_masks(table, degree))
+    return [r for r in relations if r], solver
+
+
+def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
+    """The span of the image of the boundary on ``degree``, untracked."""
+    solver = SpanSolver()
+    for mask in _boundary_masks(table, degree):
+        solver.add_modulo(mask)
+    return solver
+
+
+def _homology_space(
+    table: FiniteGroupTable, degree: int, kernel: Sequence[int], boundaries: SpanSolver
+) -> BarSpace:
+    """Representatives: the kernel vectors outside the span of the
+    boundaries and the earlier kernel vectors, each given one coordinate
+    bit; ``boundaries`` becomes the space's solver."""
+    reps = []
+    for v in kernel:
+        if boundaries.coordinates(v) is None:
+            boundaries.add(v)
+            reps.append(v)
+    words = bar_words(table, degree)
+    index = {w: i for i, w in enumerate(words)}
+    return BarSpace(table, degree, words, index, reps, boundaries)
+
+
 def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     """Representative cycles of the bar homology in one degree.
 
-    Kernel vectors of the boundary are reduced modulo the image of the
-    boundary from one degree higher; the survivors are the
-    representatives, in deterministic order.
-    """
-    words = bar_words(table, degree)
-    index = {w: i for i, w in enumerate(words)}
-    below = bar_words(table, degree - 1) if degree > 0 else [()]
-    below_index = {w: i for i, w in enumerate(below)}
-    rows = [0] * len(below)
-    for j, w in enumerate(words):
-        for face in bar_boundary_word(table, w):
-            rows[below_index[face]] ^= 1 << j
-    matrix = F2Matrix(len(below), len(words), tuple(rows))
-    _, kernel = f2_rank_kernel(matrix)
+    The columns of the boundary on ``degree`` are eliminated once, in
+    word order; the ones that enlarge nothing give the kernel basis in
+    reduced echelon form.  The kernel vectors are then reduced modulo the
+    image of the boundary from one degree higher, and the survivors are
+    the representatives, in deterministic order.
 
-    solver = SpanSolver()
-    above = bar_words(table, degree + 1)
-    for w in above:
-        mask = 0
-        for face in bar_boundary_word(table, w):
-            mask ^= 1 << index[face]
-        if mask:
-            solver.add(mask)
-    reps = []
-    rep_positions = []
-    for v in kernel:
-        pos = solver._count
-        if solver.add(v):
-            reps.append(v)
-            rep_positions.append(pos)
-    # class_coordinates reads only the representatives' coordinates, so the
-    # combinations over every inserted boundary are not kept
-    return BarSpace(table, degree, words, index, reps, solver.project(rep_positions))
+    Only the span of that image matters, not the basis it is eliminated
+    into: a kernel vector is a representative iff it lies outside the
+    span of the boundaries and the earlier kernel vectors, and as the
+    representatives are independent modulo the boundaries, the
+    coordinates of a cycle over them are unique.  So the boundaries are
+    inserted without tracking their combinations, and ``reps``, ``dim``
+    and ``class_coordinates`` are those of any elimination of the same
+    maps.
+    """
+    if degree < 0:
+        raise ValueError("bar degree must be non-negative")
+    if max(table.order - 1, 1) ** (degree + 1) > SIZE_BOUND:
+        raise SizeBoundError("bar complex too large for the requested degree")
+    kernel, _ = _kernel_and_image(table, degree)
+    return _homology_space(table, degree, kernel, _boundary_span(table, degree + 1))
 
 
 @dataclass
@@ -606,6 +674,9 @@ def bar_homology(
 
     ``method`` is "bar" (normalized bar complex), "koszul" (minimal
     divided-power resolution, elementary abelian groups only) or "auto".
+    The bar method eliminates each boundary map once: the elimination of
+    the boundary on degree d gives the kernel side of degree d and the
+    image side of degree d - 1.
     """
     letters = max(table.order - 1, 1)
     bar_feasible = letters ** (max_degree + 1) <= SIZE_BOUND
@@ -621,8 +692,16 @@ def bar_homology(
             raise SizeBoundError("bar complex too large for the requested degree")
         dims = []
         reps: list[list] = []
+        kernels = []
+        spans = []
         for d in range(max_degree + 1):
-            space = bar_space(table, d)
+            kernel, image = _kernel_and_image(table, d)
+            kernels.append(kernel)
+            if d:
+                spans.append(image.project(()))
+        spans.append(_boundary_span(table, max_degree + 1))
+        for d, (kernel, span) in enumerate(zip(kernels, spans)):
+            space = _homology_space(table, d, kernel, span)
             dims.append(space.dim)
             reps.append(space.rep_chains())
         return BarHomologyResult(dims, reps, "bar")

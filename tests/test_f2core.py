@@ -188,3 +188,50 @@ def test_projected_solver_coordinates_are_projections(case, data):
         if combo is not None:
             expected = sum(1 << j for j, pos in enumerate(positions) if (combo >> pos) & 1)
         assert projected.coordinates(v) == expected
+
+
+# (column count, rows) of a matrix of up to 12 rows and 30 columns
+MATRICES = st.integers(min_value=0, max_value=30).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        st.lists(st.integers(min_value=0, max_value=(1 << cols) - 1), max_size=12),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_column_relations_are_the_rref_kernel(case):
+    cols, data = case
+    m = F2Matrix(len(data), cols, tuple(data))
+    solver = SpanSolver()
+    relations = [solver.add_relation(m.column(j)) for j in range(cols)]
+    rank, kernel = f2_rank_kernel(m)
+    assert tuple(r for r in relations if r) == kernel
+    assert solver.rank == rank
+    for j, r in enumerate(relations):
+        # a relation closes on its own column and combines no later one
+        assert not r or r.bit_length() == j + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(VECTOR_LISTS)
+def test_modulo_vectors_get_no_coordinate(case):
+    width, vectors, probes = case
+    half = len(vectors) // 2
+    quotient, tracked = vectors[:half], vectors[half:]
+    solver = SpanSolver()
+    for v in quotient:
+        solver.add_modulo(v)
+    for v in tracked:
+        solver.add(v)
+    full = SpanSolver()
+    for v in vectors:
+        full.add(v)
+    # both solvers store the same reduced vectors, so the coordinates over
+    # the tracked vectors are the full solver's, projected onto them
+    positions = range(half, len(vectors))
+    projected = full.project(positions)
+    assert solver.rank == full.rank
+    for v in list(vectors) + probes:
+        assert solver.coordinates(v) == projected.coordinates(v)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgops.f2core import F2Matrix, SpanSolver, f2_rank_kernel
 from bgops.gradedalg import DPClass, GeneratorSet
 from bgops.operations import CoefficientClass, Dihedral, Z2Power, alpha
 from bgops import oracle
@@ -18,6 +19,7 @@ from bgops.oracle import (
     _walk_steps,
     action_orbits,
     bar_boundary_chain,
+    bar_boundary_word,
     bar_homology,
     bar_space,
     cayley_action,
@@ -826,3 +828,187 @@ def test_orbit_plan_keeps_no_action_table():
             assert not isinstance(obj, FiniteAction)
             assert not (isinstance(obj, tuple) and len(obj) == set_size), (table.kind, k)
 
+
+# ---------------------------------------------------------------------------
+# the one-pass bar complex against the rank-kernel route
+
+
+def bar_space_by_rref(table, degree):
+    """The route ``bar_space`` took before its boundaries were index
+    arithmetic: faces by ``bar_boundary_word``, the kernel by
+    ``f2_rank_kernel``, and every boundary from one degree higher added to
+    a tracking solver that is then projected onto the representatives."""
+    words = oracle.bar_words(table, degree)
+    index = {w: i for i, w in enumerate(words)}
+    below = oracle.bar_words(table, degree - 1) if degree > 0 else [()]
+    below_index = {w: i for i, w in enumerate(below)}
+    rows = [0] * len(below)
+    for j, w in enumerate(words):
+        for face in bar_boundary_word(table, w):
+            rows[below_index[face]] ^= 1 << j
+    _, kernel = f2_rank_kernel(F2Matrix(len(below), len(words), tuple(rows)))
+    solver = SpanSolver()
+    for w in oracle.bar_words(table, degree + 1):
+        mask = 0
+        for face in bar_boundary_word(table, w):
+            mask ^= 1 << index[face]
+        if mask:
+            solver.add(mask)
+    reps = []
+    rep_positions = []
+    for v in kernel:
+        pos = solver._count
+        if solver.add(v):
+            reps.append(v)
+            rep_positions.append(pos)
+    return oracle.BarSpace(table, degree, words, index, reps, solver.project(rep_positions))
+
+
+@functools.lru_cache(maxsize=None)
+def _spaces_by_content(mul, identity, degree):
+    table = FiniteGroupTable(len(mul), mul, identity)
+    return bar_space(table, degree), bar_space_by_rref(table, degree)
+
+
+def both_spaces(table, degree):
+    """(``bar_space``, ``bar_space_by_rref``), computed once per
+    multiplication table and degree."""
+    return _spaces_by_content(table.mul, table.identity, degree)
+
+
+def dihedral_of_square():
+    """The dihedral group of order 8 in S4: the stabilizer of {{0, 1}, {2, 3}}."""
+    s4 = FiniteGroupTable.symmetric(4)
+    pairs = {frozenset({0, 1}), frozenset({2, 3})}
+    perms = sorted(itertools.permutations(range(4)))
+    keep = [
+        i for i, p in enumerate(perms) if {frozenset(p[x] for x in q) for q in pairs} == pairs
+    ]
+    return s4.subgroup(keep)[0]
+
+
+def relabelled(table):
+    """The same group with element g renamed order - 1 - g, so e != 0."""
+    last = table.order - 1
+    mul = tuple(
+        tuple(last - table.mul[last - a][last - b] for b in range(table.order))
+        for a in range(table.order)
+    )
+    return FiniteGroupTable(table.order, mul, last - table.identity)
+
+
+_Z2 = FiniteGroupTable.z2()
+BAR_TABLES = {
+    "z2": _Z2,
+    "v2": FiniteGroupTable.elementary_abelian(2),
+    "v3": FiniteGroupTable.elementary_abelian(3),
+    "d6": FiniteGroupTable.dihedral(1),
+    "d10": FiniteGroupTable.dihedral(2),
+    "s3": FiniteGroupTable.symmetric(3),
+    "z2xz2": FiniteGroupTable.product(_Z2, _Z2),
+    "c5 in d10": FiniteGroupTable.dihedral(2).subgroup(range(5))[0],
+    "d8 in s4": dihedral_of_square(),
+    "d6 relabelled": relabelled(FiniteGroupTable.dihedral(1)),
+}
+TOP_WORDS = 50_000  # bar words one degree above the space
+Z2_DEGREES = 10  # z2 has one word per degree, so its range is cut here
+
+
+def bar_degrees(table):
+    letters = table.order - 1
+    return [d for d in range(Z2_DEGREES + 1) if letters ** (d + 1) <= TOP_WORDS]
+
+
+BAR_CASES = [(name, d) for name, table in BAR_TABLES.items() for d in bar_degrees(table)]
+
+
+def test_relabelled_table_moves_the_identity():
+    assert BAR_TABLES["d6 relabelled"].identity == 5
+    assert BAR_TABLES["d8 in s4"].order == 8
+
+
+def test_boundary_masks_are_the_faces_of_each_word():
+    for name, table in BAR_TABLES.items():
+        for degree in range(bar_degrees(table)[-1] + 2):
+            below = {w: i for i, w in enumerate(oracle.bar_words(table, max(degree - 1, 0)))}
+            words = oracle.bar_words(table, degree)
+            masks = list(oracle._boundary_masks(table, degree))
+            assert len(masks) == len(words)
+            for w, mask in zip(words, masks):
+                expected = 0
+                for face in bar_boundary_word(table, w):
+                    expected ^= 1 << below[face]
+                assert mask == expected, (name, w)
+
+
+def test_bar_space_matches_rref_route():
+    for name, d in BAR_CASES:
+        space, reference = both_spaces(BAR_TABLES[name], d)
+        assert space.words == reference.words, (name, d)
+        assert space.reps == reference.reps, (name, d)
+        assert space.dim == reference.dim
+
+
+@functools.lru_cache(maxsize=None)
+def words_above(name, degree):
+    return oracle.bar_words(BAR_TABLES[name], degree + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BAR_CASES), st.data())
+def test_class_coordinates_match_rref_route(case, data):
+    # a random sum of representatives plus random boundaries has the same
+    # coordinates on both routes: the picked representatives
+    name, d = case
+    table = BAR_TABLES[name]
+    space, reference = both_spaces(table, d)
+    picks = data.draw(st.lists(st.booleans(), min_size=space.dim, max_size=space.dim))
+    above = words_above(name, d)
+    boundary_words = data.draw(st.frozensets(st.sampled_from(above), max_size=4)) if above else ()
+    mask = space.chain_to_mask(bar_boundary_chain(table, frozenset(boundary_words)))
+    expected = 0
+    for j, picked in enumerate(picks):
+        if picked:
+            mask ^= space.reps[j]
+            expected |= 1 << j
+    chain = space.mask_to_chain(mask)
+    assert space.class_coordinates(chain) == reference.class_coordinates(chain) == expected
+
+
+def test_bar_homology_matches_rref_route():
+    for name, table in BAR_TABLES.items():
+        top = bar_degrees(table)[-1]
+        result = bar_homology(table, top, method="bar")
+        for d in range(top + 1):
+            _, reference = both_spaces(table, d)
+            assert result.dims[d] == reference.dim, (name, d)
+            assert result.reps[d] == reference.rep_chains(), (name, d)
+
+
+def test_transfer_and_induced_maps_match_rref_route(monkeypatch):
+    # the maps read only the spaces, so each route's spaces are served
+    # from the cache in place of oracle.bar_space
+    for table, sub in SUBGROUPS:
+        sub_table, _ = table.subgroup(sub)
+        degrees = [d for d in bar_degrees(table) if d in bar_degrees(sub_table)]
+        maps = {}
+        for route in (0, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "bar_space", lambda t, d: both_spaces(t, d)[route])
+                maps[route] = [(transfer_map(table, sub, d), induced_map(table, sub, d)) for d in degrees]
+        assert maps[0] == maps[1], sub
+
+
+def test_bar_space_size_guard_precedes_enumeration(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("bar words were enumerated")
+
+    monkeypatch.setattr(oracle, "_boundary_masks", enumerated)
+    monkeypatch.setattr(oracle, "bar_words", enumerated)
+    d10 = FiniteGroupTable.dihedral(2)
+    # 9**8 words one degree above exceed the bound; 9**7 below it do not
+    assert 9**7 <= oracle.SIZE_BOUND < 9**8
+    with pytest.raises(SizeBoundError):
+        bar_space(d10, 7)
+    with pytest.raises(SizeBoundError):
+        bar_homology(d10, 7, method="bar")
