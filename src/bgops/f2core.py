@@ -147,16 +147,18 @@ def f2_rank_kernel(m: F2Matrix) -> tuple[int, tuple[int, ...]]:
     """
     rref, pivots = _rref(list(m.data), m.cols)
     pivot_set = set(pivots)
-    kernel = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(rref, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return len(pivots), tuple(kernel)
+    # free column -> its kernel vector, in ascending column order
+    kernel = {c: 1 << c for c in range(m.cols) if c not in pivot_set}
+    free = sum(kernel.values())  # the free columns as one mask
+    for row, p in zip(rref, pivots):
+        # a reduced row is its pivot plus free columns: each one puts the
+        # pivot into that free column's kernel vector
+        t = row & free
+        while t:
+            low = t & -t
+            kernel[low.bit_length() - 1] |= 1 << p
+            t ^= low
+    return len(pivots), tuple(kernel.values())
 
 
 class SpanSolver:

@@ -222,23 +222,21 @@ def dp_coproduct(mono: DPMonomial) -> list[tuple[DPMonomial, DPMonomial]]:
 
 
 @lru_cache(maxsize=None)
-def _sum_power(rows_mask: int, n: int, l: int) -> frozenset[DPMonomial]:
-    """Terms of (sum of t_i over set bits of rows_mask)^[n] in l generators.
+def _packed_sum_power(rows_mask: int, n: int, l: int, width: int) -> tuple[int, ...]:
+    """Terms of (sum of t_i over set bits of rows_mask)^[n] in l generators,
+    each packed into one int with ``width`` bits per generator.
 
     Divided-power addition: (u + v)^[n] = sum over i+j=n of u^[i] v^[j],
     so the expansion runs over compositions of n supported on rows_mask,
-    every coefficient 1.
+    every coefficient 1; exponent e_i sits at bit i * width, so n must be
+    below 2 ** width.
     """
-    positions = [i for i in range(l) if (rows_mask >> i) & 1]
-    if not positions:
-        return frozenset() if n > 0 else frozenset({(0,) * l})
-    out = set()
-    for comp in compositions(n, len(positions)):
-        mono = [0] * l
-        for pos, c in zip(positions, comp):
-            mono[pos] = c
-        out.add(tuple(mono))
-    return frozenset(out)
+    shifts = [i * width for i in range(l) if (rows_mask >> i) & 1]
+    if not shifts:
+        return () if n > 0 else (0,)
+    return tuple(
+        sum(c << shift for c, shift in zip(comp, shifts)) for comp in compositions(n, len(shifts))
+    )
 
 
 def compositions(n: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
@@ -274,24 +272,36 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
         target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
     if len(target) != l or any(d != 1 for d in target.degrees):
         raise ValueError("target generator set must have l degree-1 generators")
-    acc: set[DPMonomial] = set()
     columns = [k_matrix.column(j) for j in range(k)]
+    # Each term is packed into one int, ``width`` bits per generator: every
+    # output exponent is at most the term's total degree, so no field
+    # overflows.  Two packed monomials multiply to m | n when m & n == 0,
+    # their exponents being bitwise disjoint generator by generator, and
+    # to zero otherwise.
+    width = max((sum(mono) for mono in a.terms), default=0).bit_length()
+    acc: set[int] = set()
     for mono in a.terms:
-        factors = [_sum_power(columns[j], e, l) for j, e in enumerate(mono) if e > 0]
+        factors = [_packed_sum_power(columns[j], e, l, width) for j, e in enumerate(mono) if e > 0]
         factors.sort(key=len)
-        partial: set[DPMonomial] = {(0,) * l}
+        partial = {0}
         for f in factors:
             if not partial:
                 break
-            nxt: set[DPMonomial] = set()
+            nxt: set[int] = set()
             for m in partial:
                 for n in f:
-                    p = _monomial_product(m, n)
-                    if p is not None:
-                        nxt ^= {p}
+                    if not m & n:
+                        p = m | n
+                        if p in nxt:
+                            nxt.remove(p)
+                        else:
+                            nxt.add(p)
             partial = nxt
         acc ^= partial
-    return DPClass(target, frozenset(acc))
+    exponent = (1 << width) - 1
+    shifts = [i * width for i in range(l)]
+    terms = [tuple([(p >> shift) & exponent for shift in shifts]) for p in acc]
+    return DPClass(target, frozenset(terms))
 
 
 def beta_push(a: DPClass, target: GeneratorSet | None = None) -> DPClass:

@@ -830,27 +830,6 @@ def _su2_terms(mono: DPMonomial) -> set[TensorTerm]:
 # operations indexed by symmetric-group classes
 
 
-@dataclass(frozen=True)
-class OperationShape:
-    """Bookkeeping for an operation with arities (n_1, ..., n_r) on G."""
-
-    group: GroupDescriptor
-    arities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.arities):
-            raise ValueError("arities must be positive")
-
-    @property
-    def total_rank(self) -> int:
-        """N = sum of (n_i - 1)."""
-        return sum(n - 1 for n in self.arities)
-
-    @property
-    def shift(self) -> int:
-        return group_dim(self.group) * self.total_rank
-
-
 def phi_sigma(
     g: GroupDescriptor, n: int, a: SymClass, b: CoefficientClass
 ) -> CoefficientClass:

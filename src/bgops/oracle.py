@@ -48,7 +48,8 @@ class FiniteGroupTable:
     """Multiplication table of a finite group on indices 0..order-1.
 
     ``mul[a][b]`` is the product a*b.  Group laws are verified at
-    construction, for every order (see ``check_laws``).
+    construction, for every order (see ``check_laws``), which also keeps
+    the generators its test picks as ``generators``.
     """
 
     order: int
@@ -57,6 +58,7 @@ class FiniteGroupTable:
     kind: str = "generic"
     params: tuple = ()
     inv: tuple[int, ...] = field(default=())
+    generators: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.inv:
@@ -89,6 +91,9 @@ class FiniteGroupTable:
         (...((e s1) s2)...) sm with each s_i in S, so A is the whole table
         and the table is associative.  An associative table passes, so
         the test accepts exactly the tables the triple loop accepts.
+
+        S is kept as ``generators``, in ascending order: every element is
+        e s1 ... sm with each s_i in S, which ``_boundary_span`` relies on.
         """
         e = self.identity
         mul = self.mul
@@ -111,6 +116,7 @@ class FiniteGroupTable:
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
+        self.generators = tuple(gens)
         for s in gens:
             s_row = mul[s]
             for x_row in mul:
@@ -554,7 +560,9 @@ def _bits(mask: int) -> Iterable[int]:
         mask &= mask - 1
 
 
-def _boundary_masks(table: FiniteGroupTable, degree: int) -> Iterator[int]:
+def _boundary_masks(
+    table: FiniteGroupTable, degree: int, first_letters: Iterable[int] | None = None
+) -> Iterator[int]:
     """The boundary of each bar word of ``degree``, as a mask over the words
     one degree lower, in ``bar_words`` order; no word tuple is built.
 
@@ -562,29 +570,38 @@ def _boundary_masks(table: FiniteGroupTable, degree: int) -> Iterator[int]:
     with letter positions (i_1, ..., i_n) has the mixed-radix index
     sum_k i_k L^(n-k), L the number of letters.  Write a word as a.b.t:
     first letter a, second letter b, tail t, and r = b.t.  Dropping the
-    first letter gives r, dropping the last one gives index // L.  The
-    faces that merge two letters are (b a).t, unless b a = e, and a
-    followed by each merge face of r: the merge mask of r shifted by
-    a * L^(n-2).  The merge masks of the lower degrees are kept in lists;
-    the masks of ``degree`` itself are streamed.
+    first letter gives r, dropping the last one gives index // L, which is
+    a L^(n-2) + r // L.  The faces that merge two letters are (b a).t,
+    unless b a = e, and a followed by each merge face of r: the merge mask
+    of r shifted by a L^(n-2).  The merge masks of the lower degrees are
+    kept in lists; the masks of ``degree`` itself are streamed.
+
+    With ``first_letters`` (elements of the table), only the words of
+    ``degree`` that start with one of them are streamed, in the same
+    order; the empty word of degree 0 is always streamed.
     """
     letters = [g for g in range(table.order) if g != table.identity]
     n_letters = len(letters)
+    position = {g: i for i, g in enumerate(letters)}
+    every = range(n_letters)
+    firsts = every if first_letters is None else sorted(position[g] for g in first_letters)
     if degree <= 1:
         # () has no faces; the two faces of a one-letter word cancel
-        yield from [0] * (n_letters ** max(degree, 0))
+        yield from [0] * (len(firsts) if degree == 1 else 1)
         return
-    position = {g: i for i, g in enumerate(letters)}
     # merged[i][j]: position of letters[j] * letters[i], the merge of the
     # pair (letters[i], letters[j]), or -1 when it is the identity
     merged = [[position.get(table.mul[h][g], -1) for h in letters] for g in letters]
 
-    def with_merges(rest_merges: list[int], n: int) -> Iterator[tuple[int, int]]:
-        # (rest index, merge-face mask) of each degree-n word, in order
+    def with_merges(
+        rest_merges: list[int], n: int, starts: Iterable[int]
+    ) -> Iterator[tuple[int, int, int]]:
+        # (a L^(n-2), rest index, merge-face mask) of each degree-n word
+        # whose first letter position a is in starts, in order
         low = n_letters ** (n - 2)
-        for a in range(n_letters):
+        for a in starts:
             shift = a * low
-            for b in range(n_letters):
+            for b in every:
                 m = merged[a][b]
                 head = m * low
                 for tail in range(low):
@@ -592,13 +609,13 @@ def _boundary_masks(table: FiniteGroupTable, degree: int) -> Iterator[int]:
                     mask = rest_merges[rest] << shift
                     if m >= 0:
                         mask ^= 1 << (head + tail)
-                    yield rest, mask
+                    yield shift, rest, mask
 
     merges = [0] * n_letters
     for n in range(2, degree):
-        merges = [mask for _, mask in with_merges(merges, n)]
-    for index, (rest, mask) in enumerate(with_merges(merges, degree)):
-        yield mask ^ (1 << rest) ^ (1 << (index // n_letters))
+        merges = [mask for _, _, mask in with_merges(merges, n, every)]
+    for shift, rest, mask in with_merges(merges, degree, firsts):
+        yield mask ^ (1 << rest) ^ (1 << (shift + rest // n_letters))
 
 
 def _kernel_and_image(table: FiniteGroupTable, degree: int) -> tuple[list[int], SpanSolver]:
@@ -611,9 +628,29 @@ def _kernel_and_image(table: FiniteGroupTable, degree: int) -> tuple[list[int], 
 
 
 def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
-    """The span of the image of the boundary on ``degree``, untracked."""
+    """The span of the image of the boundary on ``degree``, untracked.
+
+    Only the boundaries of the words that start with one of the table's
+    ``generators`` S are eliminated: |S| L^(degree-1) columns instead of
+    L^degree, L the number of letters.  They span the whole image.
+
+    Let U be their span; then the boundary of [c|w] lies in U for every
+    letter c and every word w of degree - 1, by induction on the least m
+    with c = e s_1 ... s_m, each s_i in S (``check_laws`` reaches every
+    element so).  For m = 1, c is in S.  Otherwise c = b a with a = s_m in
+    S and b = e s_1 ... s_(m-1) of smaller length, b != e.  The word
+    x = [a|b|w] of degree + 1 has the faces [b|w] (drop a), [c|w] (merge
+    a and b into b a = c, which is not e) and faces that all start with
+    a: dropping the last letter and every later merge (a merge that gives
+    e is a degenerate face, which is zero).  So d(d x) = 0, d the
+    boundary, gives
+
+        d[c|w] = d[b|w] + sum of d(faces of x that start with a),
+
+    where d[b|w] is in U by induction and the rest by a in S.
+    """
     solver = SpanSolver()
-    for mask in _boundary_masks(table, degree):
+    for mask in _boundary_masks(table, degree, table.generators):
         solver.add_modulo(mask)
     return solver
 
@@ -623,9 +660,16 @@ def _homology_space(
 ) -> BarSpace:
     """Representatives: the kernel vectors outside the span of the
     boundaries and the earlier kernel vectors, each given one coordinate
-    bit; ``boundaries`` becomes the space's solver."""
+    bit; ``boundaries`` becomes the space's solver.
+
+    The boundaries and the representatives are cycles, so once the rank
+    of that span reaches ``len(kernel)`` it is every cycle, and no later
+    kernel vector can be a representative; the scan stops there."""
     reps = []
+    cycles = len(kernel)
     for v in kernel:
+        if boundaries.rank == cycles:
+            break
         if boundaries.coordinates(v) is None:
             boundaries.add(v)
             reps.append(v)
@@ -650,7 +694,10 @@ def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     coordinates of a cycle over them are unique.  So the boundaries are
     inserted without tracking their combinations, and ``reps``, ``dim``
     and ``class_coordinates`` are those of any elimination of the same
-    maps.
+    maps.  For the same reason the image is spanned from the boundaries
+    of the words that start with a generator of the table: for any
+    generating set S, the image of the boundary on degree + 1 is spanned
+    by the boundaries of [s|w], s in S (proof at ``_boundary_span``).
     """
     if degree < 0:
         raise ValueError("bar degree must be non-negative")

@@ -235,3 +235,27 @@ def test_modulo_vectors_get_no_coordinate(case):
     assert solver.rank == full.rank
     for v in list(vectors) + probes:
         assert solver.coordinates(v) == projected.coordinates(v)
+
+
+def kernel_by_scanning_pivot_rows(m):
+    """The kernel assembly ``f2_rank_kernel`` made before it read the set
+    bits of each pivot row: every pivot row tested for every free column."""
+    rref, pivots = _rref(list(m.data), m.cols)
+    kernel = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = 1 << free
+        for row, p in zip(rref, pivots):
+            if (row >> free) & 1:
+                v |= 1 << p
+        kernel.append(v)
+    return len(pivots), tuple(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_rank_kernel_matches_pivot_row_scan(case):
+    cols, data = case
+    m = F2Matrix(len(data), cols, tuple(data))
+    assert f2_rank_kernel(m) == kernel_by_scanning_pivot_rows(m)

@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgops.f2core import F2Matrix
 from bgops.gradedalg import (
@@ -9,7 +12,9 @@ from bgops.gradedalg import (
     GeneratorMismatchError,
     GeneratorSet,
     SU2Class,
+    _monomial_product,
     beta_push,
+    compositions,
     dp_coproduct,
     dp_multiply,
     linear_push,
@@ -157,6 +162,105 @@ def test_linear_push_is_ring_map():
         assert linear_push(kmat, dp_multiply(a, b)) == dp_multiply(
             linear_push(kmat, a), linear_push(kmat, b)
         )
+
+
+def sum_power_by_tuples(rows_mask, n, l):
+    """Terms of (sum of t_i over set bits of rows_mask)^[n], as exponent tuples."""
+    positions = [i for i in range(l) if (rows_mask >> i) & 1]
+    if not positions:
+        return set() if n > 0 else {(0,) * l}
+    out = set()
+    for comp in compositions(n, len(positions)):
+        mono = [0] * l
+        for pos, c in zip(positions, comp):
+            mono[pos] = c
+        out.add(tuple(mono))
+    return out
+
+
+def linear_push_by_tuples(k_matrix, a):
+    """The route ``linear_push`` took before it packed monomials into ints:
+    exponent tuples, multiplied by ``_monomial_product``."""
+    l = k_matrix.rows
+    target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
+    columns = [k_matrix.column(j) for j in range(len(a.gens))]
+    acc = set()
+    for mono in a.terms:
+        partial = {(0,) * l}
+        for j, e in enumerate(mono):
+            if e == 0:
+                continue
+            nxt = set()
+            for m in partial:
+                for n in sum_power_by_tuples(columns[j], e, l):
+                    p = _monomial_product(m, n)
+                    if p is not None:
+                        nxt ^= {p}
+            partial = nxt
+        acc ^= partial
+    return DPClass(target, frozenset(acc))
+
+
+WORK = 2_000  # bound on the product of the factor sizes of one term
+
+
+@st.composite
+def pushes(draw):
+    """l, k <= 4, up to three terms, exponents up to 40, each term's
+    expansion kept below WORK products."""
+    l = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=l, max_size=l))
+    matrix = F2Matrix(l, k, tuple(rows))
+    weights = [matrix.column(j).bit_count() for j in range(k)]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        work, mono = 1, []
+        for w in weights:
+            size = (lambda e: math.comb(e + w - 1, w - 1)) if w else (lambda e: 1)
+            e = draw(st.integers(0, max(e for e in range(41) if work * size(e) <= WORK)))
+            work *= size(e)
+            mono.append(e)
+        terms.append(tuple(mono))
+    return matrix, DPClass.from_terms(GeneratorSet.v_basis(k), terms)
+
+
+@st.composite
+def pushes_at_field_edges(draw):
+    """One term of total 2^b - 1 or 2^b, on columns that each hit at most
+    one row, so that every factor is one monomial and the output exponents
+    reach the edges of a packed field."""
+    l = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    row_of = draw(st.lists(st.integers(-1, l - 1), min_size=k, max_size=k))
+    data = tuple(sum(1 << j for j, r in enumerate(row_of) if r == i) for i in range(l))
+    total = (1 << draw(st.integers(1, 17))) - draw(st.integers(0, 1))
+    mono = [0] * k
+    if draw(st.booleans()):
+        # bitwise disjoint parts, which survive on a shared row
+        for bit in range(total.bit_length()):
+            if (total >> bit) & 1:
+                mono[draw(st.integers(0, k - 1))] |= 1 << bit
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+        mono = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return F2Matrix(l, k, data), DPClass.monomial(GeneratorSet.v_basis(k), mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pushes())
+def test_packed_linear_push_matches_tuple_route(case):
+    matrix, a = case
+    assert linear_push(matrix, a) == linear_push_by_tuples(matrix, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pushes_at_field_edges())
+def test_packed_linear_push_at_field_edges(case):
+    matrix, a = case
+    out = linear_push(matrix, a)
+    assert out == linear_push_by_tuples(matrix, a)
+    assert all(sum(t) == sum(next(iter(a.terms))) for t in out.terms)
 
 
 def test_beta_push():

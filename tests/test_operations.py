@@ -540,19 +540,6 @@ def test_three_factor_product_consistency():
             assert direct_terms == split_terms, (k, exps)
 
 
-def test_operation_shape():
-    from bgops.operations import OperationShape
-
-    shape = OperationShape(Torus(2), (2, 4, 2))
-    assert shape.total_rank == 5
-    assert shape.shift == 10
-    single = OperationShape(SU2(), (8,))
-    assert single.total_rank == 7
-    assert single.shift == 21  # dim(G) (2^k - 1) for a single arity 2^k
-    with pytest.raises(ValueError):
-        OperationShape(Z2, (2, 0))
-
-
 def test_witness_inconclusive_path():
     # over a rank-2 target, a row sum below the rank kills the operation
     # identically, and the evaluation on the unit proves it

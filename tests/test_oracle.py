@@ -1012,3 +1012,84 @@ def test_bar_space_size_guard_precedes_enumeration(monkeypatch):
         bar_space(d10, 7)
     with pytest.raises(SizeBoundError):
         bar_homology(d10, 7, method="bar")
+
+
+# ---------------------------------------------------------------------------
+# boundaries spanned from the generators of the table
+
+
+def closure(table, generators):
+    """The elements e s_1 ... s_m with each s_i in ``generators``."""
+    reached = {table.identity}
+    frontier = [table.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in generators:
+            y = table.mul[x][s]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def boundary_rank(table, degree, first_letters=None):
+    solver = SpanSolver()
+    for mask in oracle._boundary_masks(table, degree, first_letters):
+        solver.add_modulo(mask)
+    return solver.rank
+
+
+def test_table_generators_generate_the_table():
+    for name, table in BAR_TABLES.items():
+        assert table.identity not in table.generators, name
+        assert list(table.generators) == sorted(set(table.generators)), name
+        assert len(closure(table, table.generators)) == table.order, name
+
+
+def test_generator_boundaries_span_every_boundary():
+    for name, d in BAR_CASES:
+        table = BAR_TABLES[name]
+        span = oracle._boundary_span(table, d + 1)
+        full = SpanSolver()
+        for mask in oracle._boundary_masks(table, d + 1):
+            assert span.contains(mask), (name, d)
+            full.add_modulo(mask)
+        assert span.rank == full.rank, (name, d)
+
+
+def test_a_set_missing_a_generator_spans_less():
+    # dropping one generator either still generates the table, and then
+    # spans every boundary too, or generates a proper subgroup, and then
+    # spans strictly less at some degree; z2 is left out because all its
+    # normalized boundaries are zero
+    proper = 0
+    for name, table in BAR_TABLES.items():
+        if name == "z2":
+            continue
+        full_ranks = [boundary_rank(table, d + 1) for d in bar_degrees(table)]
+        for s in table.generators:
+            fewer = [g for g in table.generators if g != s]
+            ranks = [
+                (boundary_rank(table, d + 1, fewer), full)
+                for d, full in zip(bar_degrees(table), full_ranks)
+            ]
+            if len(closure(table, fewer)) == table.order:
+                assert all(r == full for r, full in ranks), (name, s)
+            else:
+                proper += 1
+                assert all(r <= full for r, full in ranks), (name, s)
+                assert any(r < full for r, full in ranks), (name, s)
+    assert proper >= 10
+
+
+def test_restricted_boundary_stream_is_the_full_stream_filtered():
+    for name, table in BAR_TABLES.items():
+        letters = [g for g in range(table.order) if g != table.identity]
+        subsets = [table.generators, letters[:1], letters[-1:], letters[1::2], letters[::-1], []]
+        for degree in range(1, bar_degrees(table)[-1] + 2):
+            words = oracle.bar_words(table, degree)
+            full = list(oracle._boundary_masks(table, degree))
+            for firsts in subsets:
+                expected = [m for w, m in zip(words, full) if w[0] in firsts]
+                restricted = list(oracle._boundary_masks(table, degree, firsts))
+                assert restricted == expected, (name, degree, firsts)
