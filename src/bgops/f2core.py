@@ -116,25 +116,34 @@ class F2Matrix:
 
 
 def _rref(work: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The next pivot column is the lowest bit set in any row not yet used,
+    found from the OR of those rows, and its row the first of them with
+    that bit: the columns in between are zero below the pivot rows.
+    """
     pivots: list[int] = []
+    n = len(work)
+    window = (1 << cols) - 1
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> c) & 1):
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
+    while r < n:
+        below = 0
+        for i in range(r, n):
+            below |= work[i]
+        below &= window
+        if not below:
             break
+        bit = below & -below
+        piv = r
+        while not work[piv] & bit:
+            piv += 1
+        work[r], work[piv] = work[piv], work[r]
+        row = work[r]
+        for i in range(n):
+            if i != r and work[i] & bit:
+                work[i] ^= row
+        pivots.append(bit.bit_length() - 1)
+        r += 1
     return work[:r], pivots
 
 

@@ -221,6 +221,28 @@ def dp_coproduct(mono: DPMonomial) -> list[tuple[DPMonomial, DPMonomial]]:
     return pairs
 
 
+def packed_compositions(n: int, shifts: Sequence[int], minimum: int = 0) -> list[int]:
+    """Compositions of n into len(shifts) parts >= minimum, each packed
+    into one int with part i at bit ``shifts[i]``.
+
+    The fields must be wide enough to hold n.  Built one field at a time:
+    a partial value holds what is left of n in its last field, and the
+    next field takes b of it for b from the least the later parts need to
+    what leaves this part ``minimum``; moving b up one field adds
+    b * (2^hi - 2^lo), which borrows from no other field.
+    """
+    if not shifts:
+        return [0] if n == 0 else []
+    if n < minimum * len(shifts):
+        return []
+    level = [n << shifts[0]]
+    for i, (lo, hi) in enumerate(zip(shifts, shifts[1:])):
+        step = (1 << hi) - (1 << lo)
+        need = minimum * (len(shifts) - 1 - i)
+        level = [p + b * step for p in level for b in range(need, (p >> lo) - minimum + 1)]
+    return level
+
+
 @lru_cache(maxsize=None)
 def _packed_sum_power(rows_mask: int, n: int, l: int, width: int) -> tuple[int, ...]:
     """Terms of (sum of t_i over set bits of rows_mask)^[n] in l generators,
@@ -232,11 +254,44 @@ def _packed_sum_power(rows_mask: int, n: int, l: int, width: int) -> tuple[int, 
     below 2 ** width.
     """
     shifts = [i * width for i in range(l) if (rows_mask >> i) & 1]
-    if not shifts:
-        return () if n > 0 else (0,)
-    return tuple(
-        sum(c << shift for c, shift in zip(comp, shifts)) for comp in compositions(n, len(shifts))
-    )
+    return tuple(packed_compositions(n, shifts))
+
+
+def packed_product(factors: Sequence[Sequence[int]]) -> set[int]:
+    """Terms of the product of sums of packed monomials.
+
+    A packed monomial holds its exponents in fields wide enough for every
+    exponent of the product.  Two of them multiply to m | n when
+    m & n == 0, their exponents being bitwise disjoint generator by
+    generator, and to zero otherwise.  Each factor must list distinct
+    monomials.  The factors are taken smallest first, so the partial
+    products stay small, and the loop stops once one is zero.
+    """
+    if not factors:
+        return {0}
+    first, *rest = sorted(factors, key=len)
+    partial = set(first)
+    for f in rest:
+        if not partial:
+            break
+        nxt: set[int] = set()
+        for m in partial:
+            for n in f:
+                if not m & n:
+                    p = m | n
+                    if p in nxt:
+                        nxt.remove(p)
+                    else:
+                        nxt.add(p)
+        partial = nxt
+    return partial
+
+
+def unpack_monomials(packed: Iterable[int], l: int, width: int) -> list[DPMonomial]:
+    """Exponent vectors of packed monomials with ``width`` bits per generator."""
+    exponent = (1 << width) - 1
+    shifts = [i * width for i in range(l)]
+    return [tuple([(p >> shift) & exponent for shift in shifts]) for p in packed]
 
 
 def compositions(n: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
@@ -273,35 +328,31 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
     if len(target) != l or any(d != 1 for d in target.degrees):
         raise ValueError("target generator set must have l degree-1 generators")
     columns = [k_matrix.column(j) for j in range(k)]
-    # Each term is packed into one int, ``width`` bits per generator: every
-    # output exponent is at most the term's total degree, so no field
-    # overflows.  Two packed monomials multiply to m | n when m & n == 0,
-    # their exponents being bitwise disjoint generator by generator, and
-    # to zero otherwise.
-    width = max((sum(mono) for mono in a.terms), default=0).bit_length()
+    width = pack_width(a.terms)
+    packed = linear_push_packed(columns, a.terms, l, width)
+    return DPClass(target, frozenset(unpack_monomials(packed, l, width)))
+
+
+def pack_width(terms: Iterable[DPMonomial]) -> int:
+    """Bits per generator that hold every exponent of a push of ``terms``:
+    an output exponent is at most its term's total degree."""
+    return max((sum(mono) for mono in terms), default=0).bit_length()
+
+
+def linear_push_packed(
+    columns: Sequence[int], terms: Iterable[DPMonomial], l: int, width: int
+) -> set[int]:
+    """``linear_push`` on packed monomials, ``width`` bits per generator.
+
+    ``columns[j]`` is column j of the l x k matrix as a bitmask over rows;
+    x_j^[e] goes to the packed expansion of (sum of its rows' t_i)^[e].
+    """
     acc: set[int] = set()
-    for mono in a.terms:
-        factors = [_packed_sum_power(columns[j], e, l, width) for j, e in enumerate(mono) if e > 0]
-        factors.sort(key=len)
-        partial = {0}
-        for f in factors:
-            if not partial:
-                break
-            nxt: set[int] = set()
-            for m in partial:
-                for n in f:
-                    if not m & n:
-                        p = m | n
-                        if p in nxt:
-                            nxt.remove(p)
-                        else:
-                            nxt.add(p)
-            partial = nxt
-        acc ^= partial
-    exponent = (1 << width) - 1
-    shifts = [i * width for i in range(l)]
-    terms = [tuple([(p >> shift) & exponent for shift in shifts]) for p in acc]
-    return DPClass(target, frozenset(terms))
+    for mono in terms:
+        acc ^= packed_product(
+            [_packed_sum_power(columns[j], e, l, width) for j, e in enumerate(mono) if e > 0]
+        )
+    return acc
 
 
 def beta_push(a: DPClass, target: GeneratorSet | None = None) -> DPClass:

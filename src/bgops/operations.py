@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .f2core import F2Matrix, binom_parity, multinomial_parity
+from .f2core import binom_parity, multinomial_parity
 from .gradedalg import (
     DPClass,
     DPMonomial,
@@ -39,8 +39,12 @@ from .gradedalg import (
     compositions,
     dp_coproduct,
     dp_multiply,
-    linear_push,
+    linear_push_packed,
+    pack_width,
+    packed_compositions,
+    packed_product,
     su2_act,
+    unpack_monomials,
 )
 from .symhomology import SymClass, term_is_decomposable, term_weight
 
@@ -334,12 +338,13 @@ class CoefficientClass:
 
     def __post_init__(self) -> None:
         factors = atomic_factors(self.group)
-        # generator count per factor, None for SU(2)
-        sizes = [None if gens is None else len(gens) for gens in map(factor_generators, factors)]
-        for t in self.terms:
-            if len(t) != len(factors):
-                raise ValueError("tensor length does not match factor count")
-            for g, size, mono in zip(factors, sizes, t):
+        if any(len(t) != len(factors) for t in self.terms):
+            raise ValueError("tensor length does not match factor count")
+        # each distinct monomial once per factor position
+        for j, g in enumerate(factors):
+            gens = factor_generators(g)
+            size = None if gens is None else len(gens)  # None for SU(2)
+            for mono in {t[j] for t in self.terms}:
                 if isinstance(mono, tuple):
                     if size is None or len(mono) != size or min(mono) < 0:
                         raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
@@ -636,7 +641,9 @@ def multiplier(g: GroupDescriptor, k: int, a: DPClass) -> CoefficientClass:
     * Z/2 and dihedral targets: x^[n_1 + ... + n_k] when every n_j > 0 and
       the multinomial coefficient is odd, else 0;
     * Z/2^l, l > 1: the sum of t_1^[c_1] ... t_l^[c_l] over the column
-      sums c whose matrix count A_count(n, c) is odd;
+      sums c whose matrix count A_count(n, c) is odd, computed as the
+      product over rows r of the sums of t^[e] over the compositions e of
+      n_r into l positive parts (see ``_z2power_terms``);
     * the circle: the halving map applied to x^[n + 1] (k = 1), or to
       x^[n_1 + n_2 + 3] when C(n_1 + n_2 + 2, n_1 + 1) is even (k = 2);
     * SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0.
@@ -725,84 +732,56 @@ def _rank_one_terms(mono: DPMonomial) -> set[TensorTerm]:
 
 
 def _z2power_terms(l: int, mono: DPMonomial) -> set[TensorTerm]:
-    """Rank-l elementary abelian target via the matrix-count fast path.
+    """Rank-l elementary abelian target: C(x^[n]) as a product over rows.
 
-    The term t^[c] of C(x^[n]) is present when A_count(n, c) is odd.  All
-    column vectors c are found in one pass over the columns instead of
-    one A_count call per composition of |n|: the state after j columns is
-    (remaining row sums, column sums so far), with its number of partial
-    matrices kept mod 2.  Column j takes parts 0 < p_r <= rem_r that are
-    pairwise bit-disjoint, enumerated as submasks of the bits still free,
-    and its sum is their OR; each row keeps at least one unit for every
-    column still to come.  The last column is forced: the remainders must
-    be positive and pairwise bit-disjoint.
+    For each row r let P(n_r) be the sum of t^[e] over the compositions e
+    of n_r into l positive parts.  Then C(x^[n]) = P(n_1) ... P(n_k) in
+    the divided-power algebra on t_1, ..., t_l.
 
-    The work is one step per (state, column choice), and only choices
-    that a valid matrix can start with are made.  It is not linear in
-    the bit length of n, since C(x^[n]) itself can have about n^(l-1)
-    terms (k = 1), but it no longer pays an A_count call for each of the
-    compositions of |n|, most of which have no valid matrix.
+    Proof.  Expanding the product, each choice of one composition e_r per
+    row is a k x l matrix of positive integers with rows e_r, so with row
+    sums n, and each such matrix is one choice.  The choice contributes
+    t^[e_1] ... t^[e_k], which is t^[c] for its column sums c times the
+    product over columns j of multinomial(c_j; e_1j, ..., e_kj).  By
+    Lucas' theorem that multinomial is odd exactly when the entries of
+    column j are pairwise bit-disjoint.  So the coefficient of t^[c] is
+    the number of matrices with row sums n, column sums c and
+    bit-disjoint columns, A_count(n, c), mod 2: the term t^[c] is present
+    exactly when the matrix count is odd, as ``multiplier`` defines it.
+
+    Each P(n_r) is built as packed ints, ``sum(n).bit_length()`` bits per
+    generator, since every column sum is at most |n|; the rows multiply
+    with ``packed_product``, the kernel ``linear_push`` uses, and the
+    terms are unpacked once.  A row with n_r < l has no composition, so
+    the product is 0.
     """
-    states: set[tuple[tuple[int, ...], tuple[int, ...]]] = {(mono, ())}
-    for later in range(l - 2, -1, -1):  # columns after the current one
-        nxt: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        for rem, prefix in states:
-            free = (1 << max(rem).bit_length()) - 1
-            for rest, total in _column_choices(rem, later, free):
-                nxt ^= {(rest, prefix + (total,))}
-        states = nxt
-    out: set[TensorTerm] = set()
-    for rem, prefix in states:
-        union = 0
-        for part in rem:
-            if part <= 0 or union & part:
-                break
-            union |= part
-        else:
-            out ^= {(prefix + (union,),)}
-    return out
-
-
-def _column_choices(
-    rem: tuple[int, ...], later: int, free: int
-) -> Iterable[tuple[tuple[int, ...], int]]:
-    """(rem - p, sum of p) for each column p of pairwise bit-disjoint parts.
-
-    Each part is a nonempty submask of ``free`` (the bits no earlier row
-    took) with p_r <= rem_r - later, so that row r keeps one unit for each
-    of the ``later`` columns still to come.
-    """
-    if not rem:
-        yield (), 0
-        return
-    cap = rem[0] - later
-    if cap <= 0:
-        return
-    sub = free & ((1 << cap.bit_length()) - 1)
-    part = sub
-    while part:
-        if part <= cap:
-            for rest, total in _column_choices(rem[1:], later, free & ~part):
-                yield (rem[0] - part,) + rest, total + part
-        part = (part - 1) & sub
+    if min(mono) < l:
+        return set()
+    width = sum(mono).bit_length()
+    shifts = [i * width for i in range(l)]
+    rows = [packed_compositions(n, shifts, 1) for n in mono]
+    return {(t,) for t in unpack_monomials(packed_product(rows), l, width)}
 
 
 def alpha_z2power_bruteforce(
     g: Z2Power, k: int, a: DPClass, b: CoefficientClass
 ) -> CoefficientClass:
-    """Internal oracle: sum of induced maps over all 2^(l k) linear maps."""
+    """Internal oracle: sum of induced maps over all 2^(l k) linear maps.
+
+    Each map is given by its k columns, bitmasks over the l rows; the
+    pushes are summed as packed monomials and unpacked once.
+    """
     if b.group != g:
         raise ValueError("coefficient class group does not match the descriptor")
     _check_input_class(a, k)
     gens = factor_generators(g)
     assert gens is not None
     l = g.l
-    terms: set[DPMonomial] = set()
-    for bits in range(1 << (l * k)):
-        data = tuple((bits >> (i * k)) & ((1 << k) - 1) for i in range(l))
-        matrix = F2Matrix(l, k, data)
-        terms ^= linear_push(matrix, a, gens).terms
-    acc = DPClass(gens, frozenset(terms))
+    width = pack_width(a.terms)
+    packed: set[int] = set()
+    for columns in itertools.product(range(1 << l), repeat=k):
+        packed ^= linear_push_packed(columns, a.terms, l, width)
+    acc = DPClass(gens, frozenset(unpack_monomials(packed, l, width)))
     return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
 
 

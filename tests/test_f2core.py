@@ -259,3 +259,47 @@ def test_rank_kernel_matches_pivot_row_scan(case):
     cols, data = case
     m = F2Matrix(len(data), cols, tuple(data))
     assert f2_rank_kernel(m) == kernel_by_scanning_pivot_rows(m)
+
+
+def rref_by_column_scan(work, cols):
+    """The pivot search ``_rref`` made before it read pivots from the row
+    ints: every column tested bit by bit in every remaining row."""
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, len(work)):
+            if (work[i] >> c) & 1:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> c) & 1):
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES)
+def test_rref_matches_column_scan(case):
+    cols, data = case
+    assert _rref(list(data), cols) == rref_by_column_scan(list(data), cols)
+
+
+def test_rref_matches_column_scan_on_random_matrices():
+    # sparse and dense rows, square and wide, and bits above ``cols``,
+    # which both searches ignore
+    rng = random.Random(5)
+    for _ in range(400):
+        rows, cols = rng.randrange(0, 25), rng.randrange(0, 25)
+        extra = rng.choice((0, 0, 3))
+        data = [rng.getrandbits(cols + extra) for _ in range(rows)]
+        if rng.random() < 0.5:
+            data = [v & rng.getrandbits(cols + extra) for v in data]
+        assert _rref(list(data), cols) == rref_by_column_scan(list(data), cols)

@@ -1,19 +1,22 @@
-"""Golden outputs of the oracle layer, fixed values that pin exactness.
+"""Golden outputs of the oracle layer and of the z2^l fast path, fixed
+values that pin exactness.
 
-Speed-ups of the oracles must leave their outputs bit-identical.  The
-values below were recorded from the route before the generator-spanned
-bar boundaries and the packed ``linear_push``; a change that moves any of
-them changes an oracle's output, not just its speed.
+Speed-ups must leave these outputs bit-identical.  The oracle values were
+recorded from the route before the generator-spanned bar boundaries and
+the packed ``linear_push``, the multiplier values from the column pass
+before the row product; a change that moves any of them changes an
+output, not just its speed.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from bgops import cli
 from bgops.gradedalg import DPClass, GeneratorSet
-from bgops.operations import CoefficientClass, Z2Power, alpha_z2power_bruteforce
+from bgops.operations import CoefficientClass, Z2Power, alpha_z2power_bruteforce, multiplier
 from bgops.oracle import FiniteGroupTable, bar_homology, bar_space
 
 ORACLE_CHECK_LINES = [
@@ -98,3 +101,44 @@ def test_bruteforce_sum_is_golden(case):
     a = DPClass.monomial(GeneratorSet.v_basis(k), exps)
     out = alpha_z2power_bruteforce(g, k, a, CoefficientClass.unit(g))
     assert sha256(json.dumps(out.to_json(), sort_keys=True)) == BRUTEFORCE[case]
+
+
+MULTIPLIER_BOXES = {
+    # (l, k): (lo, hi, sha256 of the JSON list of C(x^[n]) on z2^l over every
+    # n in [lo, hi]^k, in itertools.product order); the exponent ranges of
+    # the benchmark's wide fast-path jobs, corners included
+    (2, 1): (240, 320, "4f9cb5a182f3c92d569ec9d13af557a248ab45ba8256d61760a838b20ba562fe"),
+    (2, 2): (40, 56, "0744a427040c364122b371361c6dea5eb4206b9ec888927cf361961f1949274f"),
+    (2, 3): (14, 20, "f483076870c333f629691dc5b52cda87e91927596769a1a5624560a39e1d28f9"),
+    (3, 1): (22, 30, "251994f63731b7fa88ee6029ac3b72e012947d6503927e358f964824edfd5163"),
+    (3, 2): (12, 16, "7e066bd60a9e16e36ab7cde75f24fa7e5e20936b5cb3b244a73e51e127eb3633"),
+    (3, 3): (7, 9, "005d5b9250c0c839ad1cdb3cdc2c4ba1d74b74aa98e61726a7e40ddbe046a3eb"),
+    (4, 1): (11, 14, "9faf28919c430e452b3e2027e35bfb3e3a716333f5d72bfcdfb67f54cb55209e"),
+    (4, 2): (7, 9, "8ab9d82bb2822443c1e168fbc142f1b30564214cc8a61b0ddb73c30877c22596"),
+    (4, 3): (5, 6, "3eeb475079b661aebaa20ed2e591f51cffbf6023fc5707ce24a8e1a809aabe94"),
+}
+LADDER = {
+    # n: sha256 of the JSON of C(x^[n]) on z2^3
+    16: "bbc0936054ff4cbd6b1c219fc69197bd9e69e333b7af3758c04096bafd8b617e",
+    32: "a26b385b2777b681c562498bd8f69019fb35a2404683a81e86131f94c8134f96",
+    48: "2a1797ead6b26aed07d82ebe8fbc2fd1d841fc76a6669df16ca79cc2473b38a2",
+    56: "4a858ac1c637f7bad2fd5b00da203ea2ac4d6e27073ee5c1aa1efe22fe7296fb",
+}
+
+
+def multiplier_json(l: int, exps: tuple[int, ...]) -> dict:
+    a = DPClass.monomial(GeneratorSet.v_basis(len(exps)), exps)
+    return multiplier(Z2Power(l), len(exps), a).to_json()
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLIER_BOXES))
+def test_z2power_multiplier_box_is_golden(case):
+    l, k = case
+    lo, hi, digest = MULTIPLIER_BOXES[case]
+    outs = [multiplier_json(l, n) for n in itertools.product(range(lo, hi + 1), repeat=k)]
+    assert sha256(json.dumps(outs, sort_keys=True)) == digest
+
+
+@pytest.mark.parametrize("n", sorted(LADDER))
+def test_z2power_multiplier_ladder_is_golden(n):
+    assert sha256(json.dumps(multiplier_json(3, (n,)), sort_keys=True)) == LADDER[n]

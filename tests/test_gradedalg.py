@@ -18,7 +18,10 @@ from bgops.gradedalg import (
     dp_coproduct,
     dp_multiply,
     linear_push,
+    packed_compositions,
+    packed_product,
     su2_act,
+    unpack_monomials,
 )
 
 G1 = GeneratorSet.v_basis(1)
@@ -261,6 +264,39 @@ def test_packed_linear_push_at_field_edges(case):
     out = linear_push(matrix, a)
     assert out == linear_push_by_tuples(matrix, a)
     assert all(sum(t) == sum(next(iter(a.terms))) for t in out.terms)
+
+
+@pytest.mark.parametrize("minimum", (0, 1, 2))
+def test_packed_compositions_match_compositions(minimum):
+    # contiguous and spread fields, fields that n just fills
+    for shifts, width in (((0, 6, 12), 6), ((0, 4, 8, 12), 4), ((3, 11), 8), ((5,), 5), ((), 3)):
+        for n in range(min(1 << width, 40)):
+            packed = packed_compositions(n, shifts, minimum)
+            unpacked = [tuple((p >> s) & ((1 << width) - 1) for s in shifts) for p in packed]
+            assert len(set(packed)) == len(packed)
+            assert sorted(unpacked) == list(compositions(n, len(shifts), minimum)), (shifts, n)
+            assert all(p == sum(e << s for e, s in zip(u, shifts)) for p, u in zip(packed, unpacked))
+
+
+def test_packed_product_matches_the_monomial_product():
+    rng = random.Random(8)
+    width, l = 6, 3
+    for _ in range(200):
+        factors = [
+            sorted({tuple(rng.randint(0, 5) for _ in range(l)) for _ in range(rng.randint(0, 5))})
+            for _ in range(rng.randint(0, 4))
+        ]
+        expected = {(0,) * l}
+        for f in factors:
+            nxt = set()
+            for m in expected:
+                for n in f:
+                    p = _monomial_product(m, n)
+                    if p is not None:
+                        nxt ^= {p}
+            expected = nxt
+        packed = [[sum(e << (i * width) for i, e in enumerate(t)) for t in f] for f in factors]
+        assert set(unpack_monomials(packed_product(packed), l, width)) == expected
 
 
 def test_beta_push():

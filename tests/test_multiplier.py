@@ -11,6 +11,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgops.gradedalg import (
     DPClass,
@@ -28,6 +30,7 @@ from bgops.operations import (
     ProductGroup,
     Torus,
     Z2Power,
+    _z2power_terms,
     alpha,
     alpha_z2power_bruteforce,
     coefficient_basis,
@@ -148,6 +151,86 @@ def test_one_pass_multiplier_matches_column_vector_definition():
         assert c.terms == multiplier_by_compositions(l, mono), (l, mono)
         nonzero += bool(c)
     assert nonzero > 100
+
+
+def z2power_terms_by_columns(l: int, mono: tuple[int, ...]) -> set:
+    """The column pass that ``_z2power_terms`` made before the row product.
+
+    All column vectors c with A_count(n, c) odd are found in one pass over
+    the columns: the state after j columns is (remaining row sums, column
+    sums so far), with its number of partial matrices kept mod 2.  Column
+    j takes parts 0 < p_r <= rem_r that are pairwise bit-disjoint, and
+    its sum is their OR; each row keeps at least one unit for every
+    column still to come.  The last column is forced: the remainders must
+    be positive and pairwise bit-disjoint.
+    """
+    states = {(mono, ())}
+    for later in range(l - 2, -1, -1):  # columns after the current one
+        nxt = set()
+        for rem, prefix in states:
+            free = (1 << max(rem).bit_length()) - 1
+            for rest, total in column_choices(rem, later, free):
+                nxt ^= {(rest, prefix + (total,))}
+        states = nxt
+    out = set()
+    for rem, prefix in states:
+        union = 0
+        for part in rem:
+            if part <= 0 or union & part:
+                break
+            union |= part
+        else:
+            out ^= {(prefix + (union,),)}
+    return out
+
+
+def column_choices(rem, later, free):
+    """(rem - p, sum of p) for each column p of pairwise bit-disjoint parts,
+    each a nonempty submask of ``free`` with p_r <= rem_r - later."""
+    if not rem:
+        yield (), 0
+        return
+    cap = rem[0] - later
+    if cap <= 0:
+        return
+    sub = free & ((1 << cap.bit_length()) - 1)
+    part = sub
+    while part:
+        if part <= cap:
+            for rest, total in column_choices(rem[1:], later, free & ~part):
+                yield (rem[0] - part,) + rest, total + part
+        part = (part - 1) & sub
+
+
+# k -> top exponent of each row, zeros included
+COLUMN_PASS_TOPS = {1: 40, 2: 14, 3: 8}
+
+
+def test_row_product_matches_column_pass_exhaustively():
+    nonzero = 0
+    for l in (2, 3, 4):
+        for k, top in COLUMN_PASS_TOPS.items():
+            for mono in itertools.product(range(top + 1), repeat=k):
+                terms = _z2power_terms(l, mono)
+                assert terms == z2power_terms_by_columns(l, mono), (l, mono)
+                nonzero += bool(terms)
+    assert nonzero > 300
+
+
+@st.composite
+def wide_monomials(draw):
+    """z2^l, l = 2..4, with rows wider than the exhaustive ranges."""
+    l = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    top = {1: 120, 2: 40, 3: 16}[k] if l == 2 else {1: 60, 2: 24, 3: 12}[k]
+    return l, tuple(draw(st.lists(st.integers(0, top), min_size=k, max_size=k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_monomials())
+def test_row_product_matches_column_pass_on_wide_rows(case):
+    l, mono = case
+    assert _z2power_terms(l, mono) == z2power_terms_by_columns(l, mono)
 
 
 # ---------------------------------------------------------------------------

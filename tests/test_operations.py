@@ -597,3 +597,25 @@ def test_nontriviality_extends_by_large_doubled_exponents():
                     g, k + 1, DPClass.monomial(GeneratorSet.v_basis(k + 1), ext)
                 )
                 assert res2.witness is not None, (l, base, ext)
+
+
+def test_coefficient_class_rejects_bad_terms():
+    pair = ProductGroup((Z2Power(2), SU2()))
+    good = {((i, 1), i) for i in range(5)}
+    with pytest.raises(ValueError, match="tensor length does not match factor count"):
+        CoefficientClass(pair, frozenset(good | {((1, 1),)}))
+    bad_terms = (
+        (Z2Power(2), ((1,),), "bad factor monomial \\(1,\\) for z2\\^2"),
+        (Z2Power(1), ((-1,),), "bad factor monomial \\(-1,\\) for z2\\^1"),
+        (Z2Power(1), (3,), "bad factor monomial 3 for z2\\^1"),
+        (SU2(), ((3,),), "bad factor monomial \\(3,\\) for su2"),
+        (SU2(), (-2,), "bad factor monomial -2 for su2"),
+    )
+    for g, term, message in bad_terms:
+        with pytest.raises(ValueError, match=message):
+            CoefficientClass(g, frozenset({term}))
+    # one bad monomial among many terms that share the good ones
+    for bad in (((0, 1), -1), ((2, 3), -5), ((7, 7), -9), ((0, 1, 2), 1), ((3,), 4), ((-1, 2), 0)):
+        with pytest.raises(ValueError, match="bad factor monomial"):
+            CoefficientClass(pair, frozenset(good | {bad}))
+    assert len(CoefficientClass(pair, frozenset(good)).terms) == 5
