@@ -323,12 +323,10 @@ def stable_image(
     polynomial.
     """
     image = SymClass.one()
-    total_weight = 0
     for n, a in factors:
         if a.terms and a.homogeneous_weight() != n:
             raise ValueError(f"factor of weight {a.homogeneous_weight()} attached to arity {n}")
         image = juxta_multiply(image, a)
-        total_weight += n
     rank = sum(n - 1 for n, _ in factors)
     r = len(list(factors))
     offset = max(0, 2 * k_degree + 2 - (rank + r))

@@ -63,9 +63,9 @@ def _input_document(args) -> dict:
     return doc
 
 
-def _load_doc(args, arg: str | None, key: str, what: str):
-    """One named input, inline or from the --in document."""
-    from_file = _input_document(args).get(key)
+def _load_doc(doc: dict, arg: str | None, key: str, what: str):
+    """One named input, inline or from ``doc``, the parsed --in document."""
+    from_file = doc.get(key)
     if (arg is None) == (from_file is None):
         raise ValueError(
             f"provide {what} either inline or under the key {key!r} via --in, "
@@ -95,9 +95,9 @@ def _emit(args, human: str, doc) -> None:
 
 def _cmd_alpha(args) -> int:
     group = parse_group(args.group)
-    a = _input_dp_class(_load_doc(args, args.a, "a", "the source class"), args.k)
-    b_doc = _load_doc(args, args.b, "b", "the coefficient class")
-    b = CoefficientClass.from_json(group, b_doc)
+    doc = _input_document(args)
+    a = _input_dp_class(_load_doc(doc, args.a, "a", "the source class"), args.k)
+    b = CoefficientClass.from_json(group, _load_doc(doc, args.b, "b", "the coefficient class"))
     value = alpha(group, args.k, a, b)
     _emit(args, str(value), {"result": value.to_json(), "zero": value.is_zero()})
     return EXIT_ZERO if value.is_zero() else EXIT_NONZERO
@@ -105,8 +105,9 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_phi(args) -> int:
     group = parse_group(args.group)
-    a = SymClass.from_json(_load_doc(args, args.a, "a", "the symmetric-group class"))
-    b = CoefficientClass.from_json(group, _load_doc(args, args.b, "b", "the coefficient class"))
+    doc = _input_document(args)
+    a = SymClass.from_json(_load_doc(doc, args.a, "a", "the symmetric-group class"))
+    b = CoefficientClass.from_json(group, _load_doc(doc, args.b, "b", "the coefficient class"))
     value = phi_sigma(group, args.n, a, b)
     _emit(args, str(value), {"result": value.to_json(), "zero": value.is_zero()})
     return EXIT_ZERO if value.is_zero() else EXIT_NONZERO
@@ -114,9 +115,10 @@ def _cmd_phi(args) -> int:
 
 def _cmd_compose(args) -> int:
     group = parse_group(args.group)
-    docs = _load_doc(args, args.factors, "factors", "the factor list")
+    doc = _input_document(args)
+    docs = _load_doc(doc, args.factors, "factors", "the factor list")
     factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
-    b = CoefficientClass.from_json(group, _load_doc(args, args.b, "b", "the coefficient class"))
+    b = CoefficientClass.from_json(group, _load_doc(doc, args.b, "b", "the coefficient class"))
     value = composite_op(group, factors, b)
     _emit(args, str(value), {"result": value.to_json(), "zero": value.is_zero()})
     return EXIT_ZERO if value.is_zero() else EXIT_NONZERO
@@ -132,7 +134,7 @@ def _cmd_acount(args) -> int:
 
 def _cmd_witness(args) -> int:
     group = parse_group(args.group)
-    a = _input_dp_class(_load_doc(args, args.a, "a", "the source class"), args.k)
+    a = _input_dp_class(_load_doc(_input_document(args), args.a, "a", "the source class"), args.k)
     result = nontrivial_witness(group, args.k, a)
     if result.witness is None:
         _emit(args, "trivial (certified)", {"witness": None, "certified_trivial": True})
@@ -147,7 +149,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_certify(args) -> int:
     group = parse_group(args.group)
-    docs = _load_doc(args, args.factors, "factors", "the factor list")
+    docs = _load_doc(_input_document(args), args.factors, "factors", "the factor list")
     factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
     result = build_certificate(Target(args.target), group, factors)
     if isinstance(result, FailureReport):
@@ -175,7 +177,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_stable_image(args) -> int:
-    docs = _load_doc(args, args.factors, "factors", "the factor list")
+    docs = _load_doc(_input_document(args), args.factors, "factors", "the factor list")
     factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
     image, offset = stable_image(factors, args.k_degree)
     _emit(

@@ -2,7 +2,8 @@
 
 Binomial and multinomial parities are computed from binary expansions
 (Lucas' theorem); matrices over GF(2) pack each row into a Python int,
-bit j of row i being the (i, j) entry.
+bit j of row i being the (i, j) entry.  ``SpanSolver`` is the one
+elimination routine: ranks, kernels and Betti numbers all come from it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class F2Matrix:
         return cls(len(rows), cols, tuple(data))
 
     @classmethod
+    def from_columns(cls, rows: int, columns: Sequence[int]) -> "F2Matrix":
+        """The rows x len(columns) matrix whose column j is the bitmask
+        ``columns[j]`` over row indices."""
+        if any(c >> rows for c in columns):
+            raise ValueError("column value out of range for row count")
+        return cls(rows, len(columns), tuple(_transpose(columns, rows)))
+
+    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
@@ -108,43 +117,31 @@ class F2Matrix:
             data.append(acc)
         return F2Matrix(self.rows, other.cols, tuple(data))
 
+    def columns(self) -> list[int]:
+        """Every column as a bitmask over row indices, in O(nonzeros)."""
+        return _transpose(self.data, self.cols)
+
     def rank(self) -> int:
-        return len(_rref(list(self.data), self.cols)[0])
+        solver = SpanSolver()
+        for r in self.data:
+            solver.add_modulo(r)
+        return solver.rank
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.data)
 
 
-def _rref(work: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    The next pivot column is the lowest bit set in any row not yet used,
-    found from the OR of those rows, and its row the first of them with
-    that bit: the columns in between are zero below the pivot rows.
-    """
-    pivots: list[int] = []
-    n = len(work)
-    window = (1 << cols) - 1
-    r = 0
-    while r < n:
-        below = 0
-        for i in range(r, n):
-            below |= work[i]
-        below &= window
-        if not below:
-            break
-        bit = below & -below
-        piv = r
-        while not work[piv] & bit:
-            piv += 1
-        work[r], work[piv] = work[piv], work[r]
-        row = work[r]
-        for i in range(n):
-            if i != r and work[i] & bit:
-                work[i] ^= row
-        pivots.append(bit.bit_length() - 1)
-        r += 1
-    return work[:r], pivots
+def _transpose(vectors: Sequence[int], length: int) -> list[int]:
+    """``length`` bitmasks whose bit i is bit j of ``vectors[i]``: the rows
+    of a matrix from its columns, or its columns from its rows."""
+    out = [0] * length
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 def f2_rank_kernel(m: F2Matrix) -> tuple[int, tuple[int, ...]]:
@@ -153,21 +150,27 @@ def f2_rank_kernel(m: F2Matrix) -> tuple[int, tuple[int, ...]]:
     Kernel vectors are bitmasks over column indices, returned in reduced
     echelon form (one vector per free column, ascending) so output is
     deterministic.  rank + len(kernel) == cols and m @ v == 0 for each v.
+    They are the relations that close as the columns are inserted in
+    order into a ``SpanSolver`` (proof at ``SpanSolver.add_relation``).
     """
-    rref, pivots = _rref(list(m.data), m.cols)
-    pivot_set = set(pivots)
-    # free column -> its kernel vector, in ascending column order
-    kernel = {c: 1 << c for c in range(m.cols) if c not in pivot_set}
-    free = sum(kernel.values())  # the free columns as one mask
-    for row, p in zip(rref, pivots):
-        # a reduced row is its pivot plus free columns: each one puts the
-        # pivot into that free column's kernel vector
-        t = row & free
-        while t:
-            low = t & -t
-            kernel[low.bit_length() - 1] |= 1 << p
-            t ^= low
-    return len(pivots), tuple(kernel.values())
+    solver = SpanSolver()
+    relations = [solver.add_relation(c) for c in m.columns()]
+    return solver.rank, tuple(r for r in relations if r)
+
+
+def homology_dims(boundaries: Sequence[F2Matrix]) -> list[int]:
+    """Mod-2 Betti numbers of the complex C_0 <- C_1 <- ... <- C_n.
+
+    ``boundaries[q]`` is the boundary from C_(q+1) to C_q, so it has
+    dim C_q rows.  Returns b_0, ..., b_(n-1): b_q = dim C_q - rank d_q -
+    rank d_(q+1), with d_0 = 0, and each map is eliminated once.  The
+    boundary into C_n is not given, so b_n is not returned.
+    """
+    for low, high in zip(boundaries, boundaries[1:]):
+        if low.cols != high.rows:
+            raise ValueError("consecutive boundaries do not compose")
+    ranks = [m.rank() for m in boundaries]
+    return [m.rows - rank - below for m, rank, below in zip(boundaries, ranks, [0] + ranks)]
 
 
 class SpanSolver:

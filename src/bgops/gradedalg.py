@@ -327,7 +327,7 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
         target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
     if len(target) != l or any(d != 1 for d in target.degrees):
         raise ValueError("target generator set must have l degree-1 generators")
-    columns = [k_matrix.column(j) for j in range(k)]
+    columns = k_matrix.columns()
     width = pack_width(a.terms)
     packed = linear_push_packed(columns, a.terms, l, width)
     return DPClass(target, frozenset(unpack_monomials(packed, l, width)))

@@ -35,7 +35,6 @@ from .gradedalg import (
     GeneratorSet,
     SU2Class,
     _monomial_product,
-    beta_push,
     compositions,
     dp_coproduct,
     dp_multiply,
@@ -43,7 +42,6 @@ from .gradedalg import (
     pack_width,
     packed_compositions,
     packed_product,
-    su2_act,
     unpack_monomials,
 )
 from .symhomology import SymClass, term_is_decomposable, term_weight
@@ -689,24 +687,46 @@ def _monomial_multiplier(g: GroupDescriptor, mono: DPMonomial) -> set[TensorTerm
 
 
 def _coproduct_terms(factors: tuple[GroupDescriptor, ...], mono: DPMonomial) -> set[TensorTerm]:
-    """Product formula: split x^[mono] through the diagonal coproduct.
+    """Product formula: C(x^[mono]) = sum of C_1(x^[l_1]) (x) ... (x) C_m(x^[l_m])
+    over the splittings mono = l_1 + ... + l_m, C_i the i-th factor's.
 
-    Left-nested: the first factor receives the left coproduct leg, the
-    remaining factors recurse on the right leg, and the factor terms are
-    concatenated.  Over GF(2) the twist map contributes no signs.
+    Proof.  The diagonal of the product induces the iterated coproduct on
+    a.  The deconcatenation coproduct is coassociative and splits each
+    generator independently, v^[n] -> sum of v^[i] (x) v^[n-i] with every
+    coefficient 1, so iterating it gives x^[l_1] (x) ... (x) x^[l_m] once
+    for each splitting of mono, with coefficient 1.  Over GF(2) the twist
+    map contributes no signs.
+
+    The sum is folded over the factors, keyed by the exponents used so
+    far: after i factors, ``partial[u]`` is the sum over the splittings
+    u = l_1 + ... + l_i of C_1(x^[l_1]) (x) ... (x) C_i(x^[l_i]).  Each
+    non-last factor's nonzero legs C_i(x^[l]), l a left part of
+    ``dp_coproduct(mono)``, are listed once per call, and identical
+    factors share one list; the last factor takes the rest, mono - u.
+    Distinct tensor terms concatenate to distinct terms, so the sums are
+    symmetric differences of sets.
     """
-    head, tail = factors[0], factors[1:]
-    if not tail:
-        return _monomial_multiplier(head, mono)
+    lefts = [left for left, _ in dp_coproduct(mono)]
+    legs_of: dict[GroupDescriptor, list[tuple[DPMonomial, set[TensorTerm]]]] = {}
+    partial: dict[DPMonomial, set[TensorTerm]] = {(0,) * len(mono): {()}}
+    for factor in factors[:-1]:
+        if factor not in legs_of:
+            legs_of[factor] = [
+                (left, terms) for left in lefts if (terms := _monomial_multiplier(factor, left))
+            ]
+        extended: dict[DPMonomial, set[TensorTerm]] = {}
+        for used, heads in partial.items():
+            for left, terms in legs_of[factor]:
+                total = tuple(map(operator.add, used, left))
+                if any(map(operator.gt, total, mono)):
+                    continue
+                acc = extended.setdefault(total, set())
+                acc ^= {s + t for s in heads for t in terms}
+        partial = {used: heads for used, heads in extended.items() if heads}
     out: set[TensorTerm] = set()
-    for left, right in dp_coproduct(mono):
-        heads = _monomial_multiplier(head, left)
-        if not heads:
-            continue
-        rest = _coproduct_terms(tail, right)
-        for s in heads:
-            for t in rest:
-                out ^= {s + t}
+    for used, heads in partial.items():
+        tails = _monomial_multiplier(factors[-1], tuple(map(operator.sub, mono, used)))
+        out ^= {s + t for s in heads for t in tails}
     return out
 
 
@@ -786,7 +806,13 @@ def alpha_z2power_bruteforce(
 
 
 def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
-    """The circle: the halving map applied to one exponent (k <= 2)."""
+    """The circle (k <= 2): the halving map applied to x^[top].
+
+    top is n + 1 for k = 1, and n_1 + n_2 + 3 for k = 2 when
+    C(n_1 + n_2 + 2, n_1 + 1) is even (the value is 0 when it is odd).
+    Halving (``beta_push``) sends x^[top] to y^[top / 2] for even top and
+    to 0 for odd top.
+    """
     if len(mono) == 1:
         top = mono[0] + 1
     else:
@@ -794,15 +820,17 @@ def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
         if binom_parity(n1 + n2 + 2, n1 + 1):
             return set()
         top = n1 + n2 + 3
-    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (top,))
-    return {(t,) for t in beta_push(lifted, GeneratorSet.torus_basis(1)).terms}
+    return {((top // 2,),)} if top % 2 == 0 else set()
 
 
 def _su2_terms(mono: DPMonomial) -> set[TensorTerm]:
-    """SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0."""
+    """SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0.
+
+    ``su2_act`` keeps x^[e] x^[0] = x^[e] when 4 divides e, as u_(e / 4),
+    so the value is u_((n + 3) / 4) for n = 1 mod 4 and 0 otherwise.
+    """
     (n,) = mono
-    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (n + 3,))
-    return {(m,) for m in su2_act(lifted, SU2Class.unit()).terms}
+    return {((n + 3) // 4,)} if n % 4 == 1 else set()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .f2core import F2Matrix, SpanSolver, f2_rank_kernel
+from .f2core import F2Matrix, SpanSolver, homology_dims
 from .gradedalg import DPClass, GeneratorSet, compositions
 from .operations import (
     CoefficientClass,
@@ -412,7 +412,6 @@ def bar_boundary_chain(table: FiniteGroupTable, chain: BarChain) -> BarChain:
 
 
 def cross_chains(
-    product_table: FiniteGroupTable,
     left: BarChain,
     right: BarChain,
     embed_left,
@@ -827,32 +826,22 @@ def _koszul_boundary_matrix(k: int, degree: int) -> F2Matrix:
     Group-ring coefficients map by the augmentation (parity of the
     support), so the matrices are assembled honestly and then ranked.
     """
-    gens = koszul_generators(k, degree)
-    below = koszul_generators(k, degree - 1)
-    below_idx = {g: i for i, g in enumerate(below)}
-    rows = [0] * len(below)
-    for j, g in enumerate(gens):
+    below_idx = {g: i for i, g in enumerate(koszul_generators(k, degree - 1))}
+    columns = []
+    for g in koszul_generators(k, degree):
+        col = 0
         for low, coeff in koszul_boundary(k, g):
             if coeff.bit_count() & 1:
-                rows[below_idx[low]] ^= 1 << j
-    return F2Matrix(len(below), len(gens), tuple(rows))
+                col ^= 1 << below_idx[low]
+        columns.append(col)
+    return F2Matrix.from_columns(len(below_idx), columns)
 
 
 def _koszul_homology(k: int, max_degree: int) -> tuple[list[int], list[list]]:
     koszul_check_differential(k, max_degree + 1)
-    dims = []
-    reps: list[list] = []
-    for d in range(max_degree + 1):
-        gens = koszul_generators(k, d)
-        if d == 0:
-            kernel_dim = len(gens)
-        else:
-            _, kernel = f2_rank_kernel(_koszul_boundary_matrix(k, d))
-            kernel_dim = len(kernel)
-        image_rank = _koszul_boundary_matrix(k, d + 1).rank()
-        dims.append(kernel_dim - image_rank)
-        reps.append(list(gens))
-    return dims, reps
+    boundaries = [_koszul_boundary_matrix(k, d) for d in range(1, max_degree + 2)]
+    reps = [koszul_generators(k, d) for d in range(max_degree + 1)]
+    return homology_dims(boundaries), reps
 
 
 # ---------------------------------------------------------------------------
@@ -871,15 +860,11 @@ def transfer_map(
     sub_table, embedding = table.subgroup(sub_indices)
     ambient = bar_space(table, degree)
     subspace = bar_space(sub_table, degree)
-    cols = []
-    for rep in ambient.rep_chains():
-        image = transfer_chain(table, embedding, rep)
-        cols.append(subspace.class_coordinates(image))
-    rows = [0] * subspace.dim
-    for j, cmask in enumerate(cols):
-        for i in _bits(cmask):
-            rows[i] |= 1 << j
-    return F2Matrix(subspace.dim, ambient.dim, tuple(rows))
+    columns = [
+        subspace.class_coordinates(transfer_chain(table, embedding, rep))
+        for rep in ambient.rep_chains()
+    ]
+    return F2Matrix.from_columns(subspace.dim, columns)
 
 
 def induced_map(
@@ -889,25 +874,19 @@ def induced_map(
     sub_table, embedding = table.subgroup(sub_indices)
     ambient = bar_space(table, degree)
     subspace = bar_space(sub_table, degree)
-    cols = []
-    for rep in subspace.rep_chains():
+    columns = [
         # non-identity local letters embed to non-identity parent letters
-        image = frozenset(tuple(embedding[g] for g in word) for word in rep)
-        cols.append(ambient.class_coordinates(image))
-    rows = [0] * ambient.dim
-    for j, cmask in enumerate(cols):
-        for i in _bits(cmask):
-            rows[i] |= 1 << j
-    return F2Matrix(ambient.dim, subspace.dim, tuple(rows))
+        ambient.class_coordinates(frozenset(tuple(embedding[g] for g in word) for word in rep))
+        for rep in subspace.rep_chains()
+    ]
+    return F2Matrix.from_columns(ambient.dim, columns)
 
 
 # ---------------------------------------------------------------------------
 # the orbit-sum evaluation of the operations for finite groups
 
 
-def _canonical_cycle(
-    g_table: FiniteGroupTable, lam: FiniteGroupTable, k: int, a: DPClass, b: DPClass
-) -> BarChain:
+def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) -> BarChain:
     """Chain representing a x b in the bar complex of V_k x G.
 
     The degree-n divided power of a coordinate generator of V_k is
@@ -929,7 +908,7 @@ def _canonical_cycle(
             chain: BarChain = frozenset({()})
             for block in blocks:
                 block_chain = frozenset({tuple(block)}) if block else frozenset({()})
-                chain = cross_chains(lam, chain, block_chain, lambda x: x, lambda x: x)
+                chain = cross_chains(chain, block_chain, lambda x: x, lambda x: x)
             acc ^= set(chain)
     return frozenset(acc)
 
@@ -947,13 +926,11 @@ def _dihedral_s(g_table: FiniteGroupTable) -> int:
 class OrbitPlan:
     """What the orbit sum needs of the two-basepoint action of one (G, k).
 
-    ``lam`` is V_k x G; ``steps`` holds, for each orbit whose projected
-    stabilizer image has odd index, the step table of the transfer to that
-    image followed by its q-coordinate.  Neither the action table nor the
-    point set is kept.
+    ``steps`` holds, for each orbit whose projected stabilizer image has
+    odd index, the step table of the transfer to that image followed by
+    its q-coordinate.  Neither the action table nor the point set is kept.
     """
 
-    lam: FiniteGroupTable
     steps: tuple[StepTable, ...]
 
 
@@ -976,7 +953,7 @@ def _orbit_plan(mul: tuple[tuple[int, ...], ...], identity: int, k: int) -> Orbi
         q_of = {action.proj[gi]: action.q_proj[gi] for gi in orbit.stabilizer}
         hom = [q_of[parent] for parent in orbit.image]
         steps.append(_transfer_steps(action.lam, orbit.image, hom))
-    return OrbitPlan(action.lam, tuple(steps))
+    return OrbitPlan(tuple(steps))
 
 
 def compsum_alpha(
@@ -1018,7 +995,7 @@ def compsum_alpha(
         raise SizeBoundError(f"degree {total} exceeds max_degree {max_degree}")
 
     plan = _orbit_plan(g_table.mul, g_table.identity, k)
-    cycle = _canonical_cycle(g_table, plan.lam, k, a, b_dp)
+    cycle = _canonical_cycle(g_table, k, a, b_dp)
     out: set[tuple[int, ...]] = set()
     for steps in plan.steps:
         _walk_steps(steps, cycle, out)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import F2Matrix, f2_rank_kernel
+from .f2core import F2Matrix, homology_dims
 from .oracle import koszul_check_differential
 
 V2_ELEMENTS = (0, 1, 2, 3)
@@ -115,18 +115,10 @@ def _vec(q: int, cells: list[tuple]) -> int:
 
 def boundary_matrix(q: int) -> F2Matrix:
     """Cellular boundary from degree q to degree q - 1."""
-    if q < 1 or q > 3:
-        return F2Matrix.zeros(0 if q > 3 else _DIMS[0], 0)
-    basis = cell_basis(q)
-    rows = [0] * _DIMS[q - 1]
-
-    def add(j: int, q_low: int, cells: list[tuple]) -> None:
-        v = _vec(q_low, cells)
-        for i in range(_DIMS[q_low]):
-            if (v >> i) & 1:
-                rows[i] ^= 1 << j
-
-    for j, cell in enumerate(basis):
+    if q < 1 or q > 3:  # a map out of or into a zero chain group
+        return F2Matrix.zeros(_DIMS[3] if q == 4 else 0, _DIMS[0] if q == 0 else 0)
+    columns = []
+    for cell in cell_basis(q):
         if q == 3:
             g, _ = cell
             cells = [
@@ -137,7 +129,6 @@ def boundary_matrix(q: int) -> F2Matrix:
                 (g, "right"),
                 (g ^ 1, "right"),
             ]
-            add(j, 2, cells)
         elif q == 2:
             g, f = cell
             if f == "top":
@@ -146,9 +137,8 @@ def boundary_matrix(q: int) -> F2Matrix:
                 cells = [(0, _coset_rep(0, 2)), (1, _coset_rep(1, 2)), (4, _coset_rep(4, 1)), (5, _coset_rep(5, 1))]
             else:
                 cells = [(2, _coset_rep(2, 1)), (3, _coset_rep(3, 0)), (4, _coset_rep(4, 1)), (5, _coset_rep(5, 0))]
-            translated = [(e, _coset_rep(e, g ^ c)) for e, c in cells]
-            add(j, 1, translated)
-        elif q == 1:
+            cells = [(e, _coset_rep(e, g ^ c)) for e, c in cells]
+        else:
             e, _c = cell
             endpoints = {
                 0: (0, 1),
@@ -158,8 +148,9 @@ def boundary_matrix(q: int) -> F2Matrix:
                 4: (0, 3),
                 5: (1, 2),
             }[e]
-            add(j, 0, [(endpoints[0], "vertex"), (endpoints[1], "vertex")])
-    return F2Matrix(_DIMS[q - 1], len(basis), tuple(rows))
+            cells = [(endpoints[0], "vertex"), (endpoints[1], "vertex")]
+        columns.append(_vec(q - 1, cells))
+    return F2Matrix.from_columns(_DIMS[q - 1], columns)
 
 
 _BOUNDARIES = {q: boundary_matrix(q) for q in (1, 2, 3)}
@@ -209,16 +200,7 @@ def _chain_equal(a: TotalChain, b: TotalChain) -> bool:
 
 def cellular_homology_dims() -> list[int]:
     """Mod-2 Betti numbers of the total space from the cellular complex."""
-    out = []
-    for q in range(4):
-        if q == 0:
-            kernel_dim = _DIMS[0]
-        else:
-            _, kernel = f2_rank_kernel(_BOUNDARIES[q])
-            kernel_dim = len(kernel)
-        image_rank = _BOUNDARIES[q + 1].rank() if q < 3 else 0
-        out.append(kernel_dim - image_rank)
-    return out
+    return homology_dims([boundary_matrix(q) for q in range(1, 5)])
 
 
 @lru_cache(maxsize=None)

@@ -87,6 +87,35 @@ def test_compose_factors_from_file(tmp_path, capsys):
     assert doc["result"]["terms"] == [{"x": 3}]
 
 
+def test_in_document_is_opened_once_per_command(tmp_path, capsys, monkeypatch):
+    # two inputs read from one --in file must come from one reading of it
+    unit = json.loads(UNIT_Z2)
+    factors = [{"n": 2, "a": [{"gens": [[1]]}]}, {"n": 2, "a": [{"gens": [[2]]}]}]
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"a": [3], "b": unit, "factors": factors}))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for argv in (
+        ["alpha", "--group", "z2^1", "-k", "1"],
+        ["compose", "--group", "z2^1"],
+        ["witness", "--group", "z2^1", "-k", "1"],
+    ):
+        opened.clear()
+        code, _, err = run(capsys, *argv, "--in", str(path))
+        assert code == EXIT_NONZERO, (argv, err)
+        assert opened == [str(path)], argv
+    path.write_text(json.dumps({"a": [{"gens": [[1]]}], "b": unit}))
+    opened.clear()
+    code, _, err = run(capsys, "phi", "--group", "z2^1", "-n", "2", "--in", str(path))
+    assert code in (EXIT_NONZERO, EXIT_ZERO), err
+    assert opened == [str(path)]
+
+
 def test_phi(capsys):
     code, doc, _ = run_json(
         capsys,

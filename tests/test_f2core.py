@@ -1,16 +1,49 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgops.f2core import (
     F2Matrix,
     SpanSolver,
-    _rref,
     binom_parity,
     f2_rank_kernel,
     multinomial_parity,
 )
+
+
+def _rref(work, cols):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The reference eliminator that ``SpanSolver`` is checked against.  The
+    next pivot column is the lowest bit set in any row not yet used,
+    found from the OR of those rows, and its row the first of them with
+    that bit: the columns in between are zero below the pivot rows.
+    """
+    pivots = []
+    n = len(work)
+    window = (1 << cols) - 1
+    r = 0
+    while r < n:
+        below = 0
+        for i in range(r, n):
+            below |= work[i]
+        below &= window
+        if not below:
+            break
+        bit = below & -below
+        piv = r
+        while not work[piv] & bit:
+            piv += 1
+        work[r], work[piv] = work[piv], work[r]
+        row = work[r]
+        for i in range(n):
+            if i != r and work[i] & bit:
+                work[i] ^= row
+        pivots.append(bit.bit_length() - 1)
+        r += 1
+    return work[:r], pivots
 
 
 def pascal_mod2_table(limit):
@@ -206,7 +239,7 @@ def test_column_relations_are_the_rref_kernel(case):
     m = F2Matrix(len(data), cols, tuple(data))
     solver = SpanSolver()
     relations = [solver.add_relation(m.column(j)) for j in range(cols)]
-    rank, kernel = f2_rank_kernel(m)
+    rank, kernel = rref_kernel(m)
     assert tuple(r for r in relations if r) == kernel
     assert solver.rank == rank
     for j, r in enumerate(relations):
@@ -237,9 +270,27 @@ def test_modulo_vectors_get_no_coordinate(case):
         assert solver.coordinates(v) == projected.coordinates(v)
 
 
+def rref_kernel(m):
+    """Rank and reduced-echelon kernel basis of m from ``_rref``.
+
+    A reduced row is its pivot plus free columns: each one puts the pivot
+    into that free column's kernel vector, so the kernel is read off the
+    set bits of the pivot rows."""
+    rref, pivots = _rref(list(m.data), m.cols)
+    pivot_set = set(pivots)
+    kernel = {c: 1 << c for c in range(m.cols) if c not in pivot_set}
+    free = sum(kernel.values())
+    for row, p in zip(rref, pivots):
+        t = row & free
+        while t:
+            low = t & -t
+            kernel[low.bit_length() - 1] |= 1 << p
+            t ^= low
+    return len(pivots), tuple(kernel.values())
+
+
 def kernel_by_scanning_pivot_rows(m):
-    """The kernel assembly ``f2_rank_kernel`` made before it read the set
-    bits of each pivot row: every pivot row tested for every free column."""
+    """``rref_kernel`` with every pivot row tested for every free column."""
     rref, pivots = _rref(list(m.data), m.cols)
     kernel = []
     for free in range(m.cols):
@@ -258,7 +309,42 @@ def kernel_by_scanning_pivot_rows(m):
 def test_rank_kernel_matches_pivot_row_scan(case):
     cols, data = case
     m = F2Matrix(len(data), cols, tuple(data))
-    assert f2_rank_kernel(m) == kernel_by_scanning_pivot_rows(m)
+    expected = kernel_by_scanning_pivot_rows(m)
+    assert f2_rank_kernel(m) == rref_kernel(m) == expected
+    assert m.rank() == expected[0]
+
+
+def random_matrices(seed, count, top):
+    """Square, wide and tall matrices up to top x top, dense and sparse."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randrange(0, top + 1), rng.randrange(0, top + 1)
+        data = [rng.getrandbits(cols) for _ in range(rows)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            data = [v & rng.getrandbits(cols) for v in data]
+        yield F2Matrix(rows, cols, tuple(data))
+
+
+def test_rank_kernel_matches_pivot_row_scan_on_random_matrices():
+    for m in random_matrices(13, 300, 70):
+        expected = kernel_by_scanning_pivot_rows(m)
+        assert f2_rank_kernel(m) == rref_kernel(m) == expected
+        assert m.rank() == expected[0]
+
+
+def test_columns_and_from_columns_are_the_hand_transpose():
+    for m in random_matrices(17, 100, 40):
+        columns = [m.column(j) for j in range(m.cols)]
+        assert m.columns() == columns
+        assert F2Matrix.from_columns(m.rows, columns) == m
+        rows = [0] * m.rows
+        for j, c in enumerate(columns):
+            for i in range(m.rows):
+                if (c >> i) & 1:
+                    rows[i] |= 1 << j
+        assert F2Matrix.from_columns(m.rows, columns).data == tuple(rows)
+    with pytest.raises(ValueError):
+        F2Matrix.from_columns(2, [0b100])
 
 
 def rref_by_column_scan(work, cols):

@@ -8,6 +8,7 @@ oracle for the one evaluation at the unit that decides nonvanishing.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from bgops.gradedalg import (
     DPClass,
     GeneratorSet,
     SU2Class,
+    beta_push,
     compositions,
     dp_coproduct,
     dp_multiply,
@@ -30,6 +32,8 @@ from bgops.operations import (
     ProductGroup,
     Torus,
     Z2Power,
+    _circle_terms,
+    _su2_terms,
     _z2power_terms,
     alpha,
     alpha_z2power_bruteforce,
@@ -122,6 +126,36 @@ def test_multiplier_against_per_class_routes():
                 c = multiplier(g, k, a)
                 for b in basis_up_to(g, 4):
                     assert split_route(g, k, a, b) == (c * b).terms, (spec, a, b)
+
+
+def circle_by_halving(mono: tuple[int, ...]) -> set:
+    """The circle multiplier as a round trip: x^[top] lifted to a class
+    over one degree-1 generator, then halved by ``beta_push``."""
+    if len(mono) == 1:
+        top = mono[0] + 1
+    else:
+        n1, n2 = mono
+        if math.comb(n1 + n2 + 2, n1 + 1) % 2:
+            return set()
+        top = n1 + n2 + 3
+    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (top,))
+    return {(t,) for t in beta_push(lifted, GeneratorSet.torus_basis(1)).terms}
+
+
+def su2_by_action(mono: tuple[int, ...]) -> set:
+    """The SU(2) multiplier as a round trip: ``su2_act`` of x^[n + 3] on u_0."""
+    (n,) = mono
+    lifted = DPClass.monomial(GeneratorSet.v_basis(1), (n + 3,))
+    return {(m,) for m in su2_act(lifted, SU2Class.unit()).terms}
+
+
+def test_closed_circle_and_su2_terms_match_the_round_trips():
+    for n in range(201):
+        assert _circle_terms((n,)) == circle_by_halving((n,)), n
+        assert _su2_terms((n,)) == su2_by_action((n,)), n
+    for n1 in range(201):
+        for n2 in range(201 - n1):
+            assert _circle_terms((n1, n2)) == circle_by_halving((n1, n2)), (n1, n2)
 
 
 def multiplier_by_compositions(l: int, mono: tuple[int, ...]) -> frozenset:

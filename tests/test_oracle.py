@@ -1,13 +1,14 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgops.f2core import F2Matrix, SpanSolver, f2_rank_kernel
+from bgops.f2core import F2Matrix, SpanSolver, f2_rank_kernel, homology_dims
 from bgops.gradedalg import DPClass, GeneratorSet
 from bgops.operations import CoefficientClass, Dihedral, Z2Power, alpha
 from bgops import oracle
@@ -26,10 +27,13 @@ from bgops.oracle import (
     compsum_alpha,
     cross_chains,
     induced_map,
+    koszul_generators,
     koszul_check_differential,
     transfer_chain,
     transfer_map,
 )
+
+from test_f2core import _rref, kernel_by_scanning_pivot_rows, rref_kernel
 
 V1 = GeneratorSet.v_basis(1)
 V2 = GeneratorSet.v_basis(2)
@@ -143,6 +147,23 @@ def test_koszul_differential_squares_to_zero():
         koszul_check_differential(k, 6)
 
 
+def test_homology_dims_match_kernel_and_rank_route():
+    # Betti numbers from ranks alone against kernel dimension minus image
+    # rank, both from the reference eliminator, on V_1 to V_3
+    for k in (1, 2, 3):
+        boundaries = [oracle._koszul_boundary_matrix(k, d) for d in range(1, 10)]
+        expected = []
+        for d in range(9):
+            if d == 0:
+                cycles = len(koszul_generators(k, 0))
+            else:
+                cycles = len(kernel_by_scanning_pivot_rows(boundaries[d - 1])[1])
+            image = boundaries[d]
+            expected.append(cycles - len(_rref(list(image.data), image.cols)[0]))
+        assert homology_dims(boundaries) == expected, k
+        assert expected == [math.comb(d + k - 1, k - 1) for d in range(9)]
+
+
 def test_bar_size_guard():
     d6 = FiniteGroupTable.dihedral(1)
     with pytest.raises(SizeBoundError):
@@ -213,7 +234,7 @@ def test_cross_chain_of_generators_is_nonzero_cycle():
     left = frozenset({(1, 1)})  # x^[2] for the first factor: letter (1,0) -> index 2
     embed_left = lambda g: g * 2
     embed_right = lambda g: g
-    chain = cross_chains(v2, frozenset({(1,) * 2}), frozenset({(1,) * 3}), embed_left, embed_right)
+    chain = cross_chains(frozenset({(1,) * 2}), frozenset({(1,) * 3}), embed_left, embed_right)
     assert len(chain) == 10  # C(5, 2) shuffles
     assert not bar_boundary_chain(v2, chain)
     space = bar_space(v2, 5)
@@ -359,7 +380,6 @@ def _census(weight: int, degree: int) -> int:
 
 def _bar_dims_via_rank(table, max_degree):
     """Homology dimensions from boundary ranks only, no representatives."""
-    from bgops.f2core import F2Matrix
     from bgops.oracle import bar_boundary_word, bar_words
 
     ranks = {}
@@ -371,7 +391,7 @@ def _bar_dims_via_rank(table, max_degree):
         for j, w in enumerate(words):
             for face in bar_boundary_word(table, w):
                 rows[bidx[face]] ^= 1 << j
-        ranks[d] = F2Matrix(len(below), len(words), tuple(rows)).rank()
+        ranks[d] = len(_rref(rows, len(words))[0])
     letters = table.order - 1
     dims = []
     for d in range(max_degree + 1):
@@ -665,7 +685,7 @@ def compsum_by_orbits(g_table, action, pushes, k, a, b):
     """The orbit sum as one transfer and one pushforward per odd orbit."""
     b_dp = b.as_dp()
     total = a.homogeneous_degree() + b_dp.homogeneous_degree()
-    cycle = oracle._canonical_cycle(g_table, action.lam, k, a, b_dp)
+    cycle = oracle._canonical_cycle(g_table, k, a, b_dp)
     out = set()
     for image, hom in pushes:
         transferred = transfer_chain_by_cosets(action.lam, image, cycle)
@@ -823,8 +843,10 @@ def test_orbit_plan_keeps_no_action_table():
         assert table.order << k != set_size
         plan = _orbit_plan(table.mul, table.identity, k)
         objects = list(reachable(plan))
-        assert any(isinstance(obj, FiniteGroupTable) for obj in objects)
+        # the walk reaches into the step tables it checks
+        assert any(obj is plan.steps[0][0] for obj in objects)
         for obj in objects:
+            assert not isinstance(obj, FiniteGroupTable)
             assert not isinstance(obj, FiniteAction)
             assert not (isinstance(obj, tuple) and len(obj) == set_size), (table.kind, k)
 
@@ -833,20 +855,30 @@ def test_orbit_plan_keeps_no_action_table():
 # the one-pass bar complex against the rank-kernel route
 
 
-def bar_space_by_rref(table, degree):
-    """The route ``bar_space`` took before its boundaries were index
-    arithmetic: faces by ``bar_boundary_word``, the kernel by
-    ``f2_rank_kernel``, and every boundary from one degree higher added to
-    a tracking solver that is then projected onto the representatives."""
-    words = oracle.bar_words(table, degree)
-    index = {w: i for i, w in enumerate(words)}
+@functools.lru_cache(maxsize=None)
+def reference_boundary(mul, identity, degree):
+    """The boundary on ``degree``, its faces by ``bar_boundary_word``, with
+    its rank and kernel by the reference ``rref_kernel``."""
+    table = FiniteGroupTable(len(mul), mul, identity)
     below = oracle.bar_words(table, degree - 1) if degree > 0 else [()]
     below_index = {w: i for i, w in enumerate(below)}
+    words = oracle.bar_words(table, degree)
     rows = [0] * len(below)
     for j, w in enumerate(words):
         for face in bar_boundary_word(table, w):
             rows[below_index[face]] ^= 1 << j
-    _, kernel = f2_rank_kernel(F2Matrix(len(below), len(words), tuple(rows)))
+    m = F2Matrix(len(below), len(words), tuple(rows))
+    return m, rref_kernel(m)
+
+
+def bar_space_by_rref(table, degree):
+    """The route ``bar_space`` took before its boundaries were index
+    arithmetic: faces by ``bar_boundary_word``, the kernel from the
+    reference ``_rref``, and every boundary from one degree higher added to
+    a tracking solver that is then projected onto the representatives."""
+    words = oracle.bar_words(table, degree)
+    index = {w: i for i, w in enumerate(words)}
+    _, (_, kernel) = reference_boundary(table.mul, table.identity, degree)
     solver = SpanSolver()
     for w in oracle.bar_words(table, degree + 1):
         mask = 0
@@ -939,6 +971,17 @@ def test_boundary_masks_are_the_faces_of_each_word():
                 for face in bar_boundary_word(table, w):
                     expected ^= 1 << below[face]
                 assert mask == expected, (name, w)
+
+
+def test_rank_kernel_match_the_reference_on_bar_matrices():
+    for name, d in BAR_CASES:
+        table = BAR_TABLES[name]
+        m, expected = reference_boundary(table.mul, table.identity, d)
+        assert F2Matrix.from_columns(m.rows, list(oracle._boundary_masks(table, d))) == m
+        assert f2_rank_kernel(m) == expected, (name, d)
+        assert m.rank() == expected[0], (name, d)
+        if m.cols <= 2500:  # the scan costs seconds on the widest matrices
+            assert kernel_by_scanning_pivot_rows(m) == expected, (name, d)
 
 
 def test_bar_space_matches_rref_route():

@@ -1,14 +1,16 @@
 import pytest
 
-from bgops.f2core import F2Matrix, f2_rank_kernel
+from bgops.f2core import F2Matrix, homology_dims
 from bgops.t3 import (
     T3Report,
     _BOUNDARIES,
+    boundary_matrix,
     cell_basis,
     cellular_homology_dims,
     t3_verify,
     total_boundary,
 )
+from test_f2core import _rref, rref_kernel
 
 
 def test_chain_group_dimensions():
@@ -22,6 +24,27 @@ def test_cellular_d_squared_zero():
 
 def test_homology_dims():
     assert cellular_homology_dims() == [1, 3, 3, 1]
+
+
+def test_homology_dims_match_kernel_and_rank_route():
+    # kernel dimension minus image rank, both from the reference
+    # eliminator, on the cellular complex of the 3-torus
+    dims = [4, 12, 12, 4]
+    expected = []
+    for q in range(4):
+        cycles = dims[0] if q == 0 else len(rref_kernel(_BOUNDARIES[q])[1])
+        image = len(_rref(list(_BOUNDARIES[q + 1].data), dims[q + 1])[0]) if q < 3 else 0
+        expected.append(cycles - image)
+    top = F2Matrix.zeros(4, 0)
+    assert homology_dims([_BOUNDARIES[1], _BOUNDARIES[2], _BOUNDARIES[3], top]) == expected
+    assert cellular_homology_dims() == expected
+
+
+def test_boundary_matrices_outside_the_complex_are_zero_maps():
+    # d_0 leaves C_0 (4 vertices) and d_4 enters C_3 (4 cubes)
+    assert boundary_matrix(0) == F2Matrix.zeros(0, 4)
+    assert boundary_matrix(4) == F2Matrix.zeros(4, 0)
+    assert boundary_matrix(5) == boundary_matrix(-1) == F2Matrix.zeros(0, 0)
 
 
 def test_coinvariant_edge_boundary():
@@ -42,7 +65,7 @@ def test_coinvariant_edge_boundary():
             if (cmask >> i) & 1:
                 rows[i] |= 1 << j
     collapsed = F2Matrix(4, 6, tuple(rows))
-    rank, kernel = f2_rank_kernel(collapsed)
+    rank, kernel = rref_kernel(collapsed)
     assert len(kernel) == 3
     assert 4 - rank == 1
 
