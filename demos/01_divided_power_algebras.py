@@ -2,15 +2,16 @@
 
 The mod-2 homology of the classifying space of an elementary abelian
 2-group of rank k is the divided power algebra on k generators of
-degree 1; for a rank-l torus, on l generators of degree 2.  H_*(BSU(2))
-is one copy of GF(2) in each degree 4m, a quotient of the rank-1 case.
+degree 1; for a rank-l torus, on l generators of degree 2; for SU(2),
+on one generator u of degree 4, a quotient of the rank-1 case.
 """
 
 from bgops import (
+    CoefficientClass,
     DPClass,
     F2Matrix,
     GeneratorSet,
-    SU2Class,
+    SU2,
     beta_push,
     dp_coproduct,
     dp_multiply,
@@ -56,8 +57,12 @@ print("beta(x^[7]) =", beta_push(x(7)))
 
 # --- the SU(2) module -------------------------------------------------------
 # the quotient by the ideal generated by x and x^[2] keeps the degrees
-# divisible by 4; u_m denotes the degree-4m generator
+# divisible by 4; u_m denotes the degree-4m class u^[m], the name a
+# CoefficientClass over SU(2) prints
 
-print("\nx^[4] . u_0 =", su2_act(x(4), SU2Class.unit()))
-print("x^[5] . u_0 =", su2_act(x(5), SU2Class.unit()))
-print("x^[8] . u_1 =", su2_act(x(8), SU2Class.generator(1)))
+u = lambda m: DPClass.monomial(GeneratorSet.su2_basis(), (m,))
+su2 = lambda value: CoefficientClass.from_dp(SU2(), value)
+
+print("\nx^[4] . u_0 =", su2(su2_act(x(4), u(0))))
+print("x^[5] . u_0 =", su2(su2_act(x(5), u(0))))
+print("x^[8] . u_1 =", su2(su2_act(x(8), u(1))))

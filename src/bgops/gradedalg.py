@@ -6,9 +6,9 @@ product of monomials survives exactly when the exponents are bitwise
 disjoint generator by generator, in which case exponents add.
 
 These algebras model the mod-2 homology of classifying spaces of
-elementary abelian 2-groups (generators of degree 1) and of tori
-(generators of degree 2); the degree-4m line pattern of H_*(BSU(2)) is
-modelled separately by SU2Class.
+elementary abelian 2-groups (generators of degree 1), of tori
+(generators of degree 2) and of SU(2) (one generator u of degree 4, whose
+divided power u^[m] is the degree-4m class u_m).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class GeneratorMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered named generators with degrees in {1, 2}.
+    """Ordered named generators with degrees in {1, 2, 4}.
 
     The basis constructors are cached, because ``factor_generators`` asks
     for them on every class it builds; instances are frozen, so sharing
@@ -45,14 +45,19 @@ class GeneratorSet:
             raise ValueError("names/degrees length mismatch")
         if len(set(self.names)) != len(self.names):
             raise ValueError("generator names must be distinct")
-        if any(d not in (1, 2) for d in self.degrees):
-            raise ValueError("generator degrees must be 1 or 2")
+        if any(d not in (1, 2, 4) for d in self.degrees):
+            raise ValueError("generator degrees must be 1, 2 or 4")
 
     def __len__(self) -> int:
         return len(self.names)
 
     def monomial_degree(self, mono: DPMonomial) -> int:
         return sum(d * e for d, e in zip(self.degrees, mono))
+
+    def format_monomial(self, mono: DPMonomial) -> str:
+        """Text of one monomial: x*y^[2], or 1 for the unit."""
+        factors = [name if e == 1 else f"{name}^[{e}]" for name, e in zip(self.names, mono) if e]
+        return "*".join(factors) if factors else "1"
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -85,6 +90,12 @@ class GeneratorSet:
         if l == 1:
             return GeneratorSet(("y",), (2,))
         return GeneratorSet(tuple(f"y{i}" for i in range(1, l + 1)), (2,) * l)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def su2_basis() -> "GeneratorSet":
+        """The degree-4 generator u of H_*(BSU(2))."""
+        return GeneratorSet(("u",), (4,))
 
 
 @dataclass(frozen=True)
@@ -175,15 +186,7 @@ class DPClass:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for t in self.sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^[{e}]"
-                for name, e in zip(self.gens.names, t)
-                if e
-            ]
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
+        return " + ".join(self.gens.format_monomial(t) for t in self.sorted_terms())
 
 
 def _monomial_product(m: DPMonomial, n: DPMonomial) -> DPMonomial | None:
@@ -374,77 +377,24 @@ def beta_push(a: DPClass, target: GeneratorSet | None = None) -> DPClass:
     return DPClass(target, frozenset(acc))
 
 
-@dataclass(frozen=True)
-class SU2Class:
-    """GF(2)-sum of the degree-4m generators of H_*(BSU(2)).
+def su2_act(a: DPClass, b: DPClass) -> DPClass:
+    """Action of the divided power algebra on one degree-1 generator on
+    H_*(BSU(2)), the divided power algebra on ``GeneratorSet.su2_basis()``.
 
-    Stored by the index m (degree 4m), so no invalid degree is
-    representable.
-    """
-
-    terms: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if any(m < 0 for m in self.terms):
-            raise ValueError("negative generator index")
-
-    @classmethod
-    def zero(cls) -> "SU2Class":
-        return cls(frozenset())
-
-    @classmethod
-    def unit(cls) -> "SU2Class":
-        return cls(frozenset({0}))
-
-    @classmethod
-    def generator(cls, m: int) -> "SU2Class":
-        return cls(frozenset({m}))
-
-    def __add__(self, other: "SU2Class") -> "SU2Class":
-        return SU2Class(self.terms ^ other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set[int]:
-        return {4 * m for m in self.terms}
-
-    def homogeneous_degree(self) -> int:
-        ds = self.degrees()
-        if len(ds) != 1:
-            raise ValueError("class is not homogeneous")
-        return ds.pop()
-
-    def to_json(self) -> dict:
-        return {"su2": sorted(self.terms)}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "SU2Class":
-        return cls(frozenset(int(m) for m in doc["su2"]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"u_{m}" for m in sorted(self.terms))
-
-
-def su2_act(a: DPClass, b: SU2Class) -> SU2Class:
-    """Action of the divided power algebra on one degree-1 generator.
-
-    Lift u_m to x^[4m], multiply, then project to the quotient by the
-    ideal generated by x and x^[2]: only exponents divisible by 4 survive.
+    Lift u^[m] to x^[4m], multiply, then project to the quotient by the
+    ideal generated by x and x^[2]: only exponents divisible by 4 survive,
+    x^[4m] -> u^[m].
     """
     if len(a.gens) != 1 or a.gens.degrees != (1,):
         raise ValueError("su2_act expects one degree-1 generator")
-    acc: set[int] = set()
+    if b.gens != GeneratorSet.su2_basis():
+        raise ValueError("su2_act expects a class over the SU(2) generator")
+    acc: set[DPMonomial] = set()
     for (e,) in a.terms:
-        for m in b.terms:
+        for (m,) in b.terms:
             if e & (4 * m):
                 continue  # even binomial coefficient
             total = e + 4 * m
             if total % 4 == 0:
-                acc ^= {total // 4}
-    return SU2Class(frozenset(acc))
+                acc ^= {(total // 4,)}
+    return DPClass(b.gens, frozenset(acc))

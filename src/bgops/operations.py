@@ -33,7 +33,6 @@ from .gradedalg import (
     DPClass,
     DPMonomial,
     GeneratorSet,
-    SU2Class,
     _monomial_product,
     compositions,
     dp_coproduct,
@@ -256,14 +255,12 @@ def parse_group(spec: str) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 # coefficient classes
 
-FactorMonomial = Union[DPMonomial, int]
-"""Basis monomial of one atomic factor: an exponent tuple, or m for SU(2)."""
-
-TensorTerm = tuple[FactorMonomial, ...]
+TensorTerm = tuple[DPMonomial, ...]
+"""Basis tensor of a class: one exponent vector per atomic factor."""
 
 
-def factor_generators(g: GroupDescriptor) -> GeneratorSet | None:
-    """Generator set of an atomic factor's homology, or None for SU(2)."""
+def factor_generators(g: GroupDescriptor) -> GeneratorSet:
+    """Generator set of an atomic factor's homology, a divided power algebra."""
     if isinstance(g, Z2Power):
         return GeneratorSet.z2_basis(g.l)
     if isinstance(g, Dihedral):
@@ -271,29 +268,13 @@ def factor_generators(g: GroupDescriptor) -> GeneratorSet | None:
     if isinstance(g, Torus):
         return GeneratorSet.torus_basis(g.l)
     if isinstance(g, SU2):
-        return None
+        return GeneratorSet.su2_basis()
     raise ValueError("not an atomic factor")
 
 
-def _factor_unit(g: GroupDescriptor) -> FactorMonomial:
-    gens = factor_generators(g)
-    return 0 if gens is None else (0,) * len(gens)
-
-
-def _factor_degree(g: GroupDescriptor, mono: FactorMonomial) -> int:
-    gens = factor_generators(g)
-    if gens is None:
-        assert isinstance(mono, int)
-        return 4 * mono
-    assert isinstance(mono, tuple)
-    return gens.monomial_degree(mono)
-
-
-def _factor_basis(g: GroupDescriptor, degree: int) -> list[FactorMonomial]:
+def _factor_basis(g: GroupDescriptor, degree: int) -> list[DPMonomial]:
     """Canonical homology basis of an atomic factor in one degree, lex order."""
     gens = factor_generators(g)
-    if gens is None:
-        return [degree // 4] if degree % 4 == 0 else []
     d = gens.degrees[0]
     if degree % d:
         return []
@@ -301,18 +282,11 @@ def _factor_basis(g: GroupDescriptor, degree: int) -> list[FactorMonomial]:
 
 
 def _term_product(s: TensorTerm, t: TensorTerm) -> TensorTerm | None:
-    """Product of two basis tensors, or None when a coefficient is even.
-
-    Divided-power factors multiply by the divided-power rule.  On SU(2)
-    the same rule is applied to the lifts u_m -> x^[4m]: the product
-    u_m u_n is u_(m+n) when m and n share no binary 1, and 0 otherwise.
-    """
+    """Product of two basis tensors, factor by factor by the divided-power
+    rule, or None when a coefficient is even."""
     out = []
     for m, n in zip(s, t):
-        if isinstance(m, int):
-            p = None if m & n else m + n  # type: ignore[operator]
-        else:
-            p = _monomial_product(m, n)  # type: ignore[arg-type]
+        p = _monomial_product(m, n)
         if p is None:
             return None
         out.append(p)
@@ -323,12 +297,17 @@ def _term_product(s: TensorTerm, t: TensorTerm) -> TensorTerm | None:
 class CoefficientClass:
     """A mod-2 homology class of BG in the canonical basis convention.
 
-    The basis convention per atomic factor: an elementary abelian group
-    of rank l uses divided powers on l degree-1 generators; a dihedral
-    group uses one degree-1 generator, transported along the mod-2
-    homology isomorphism with its reflection subgroup; a rank-l torus
-    uses l degree-2 generators; SU(2) uses one generator in each degree
-    4m.  For products, terms are tensors of factor monomials.
+    Every atomic factor's homology is a divided power algebra on the
+    generators of ``factor_generators``: an elementary abelian group of
+    rank l has l degree-1 generators; a dihedral group one degree-1
+    generator, transported along the mod-2 homology isomorphism with its
+    reflection subgroup; a rank-l torus l degree-2 generators; SU(2) one
+    degree-4 generator u, whose divided power u^[m] is written u_m.  A
+    term is a tensor of exponent vectors, one per factor.
+
+    The external format (``to_json``, ``from_json``, ``__str__``) writes an
+    SU(2) factor as the bare index m: ``{"su2": [m, ...]}`` alone, an int
+    inside ``tensor_terms``, and the text ``u_m``.
     """
 
     group: GroupDescriptor
@@ -340,15 +319,10 @@ class CoefficientClass:
             raise ValueError("tensor length does not match factor count")
         # each distinct monomial once per factor position
         for j, g in enumerate(factors):
-            gens = factor_generators(g)
-            size = None if gens is None else len(gens)  # None for SU(2)
+            size = len(factor_generators(g))
             for mono in {t[j] for t in self.terms}:
-                if isinstance(mono, tuple):
-                    if size is None or len(mono) != size or min(mono) < 0:
-                        raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
-                else:
-                    if size is not None or mono < 0:
-                        raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
+                if not isinstance(mono, tuple) or len(mono) != size or min(mono) < 0:
+                    raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
 
     @classmethod
     def zero(cls, group: GroupDescriptor) -> "CoefficientClass":
@@ -356,23 +330,16 @@ class CoefficientClass:
 
     @classmethod
     def unit(cls, group: GroupDescriptor) -> "CoefficientClass":
-        term = tuple(_factor_unit(f) for f in atomic_factors(group))
+        term = tuple((0,) * len(factor_generators(f)) for f in atomic_factors(group))
         return cls(group, frozenset({term}))
 
     @classmethod
     def from_dp(cls, group: GroupDescriptor, value: DPClass) -> "CoefficientClass":
-        gens = factor_generators(group)
-        if gens is None or isinstance(group, ProductGroup):
+        if isinstance(group, ProductGroup):
             raise ValueError("from_dp requires a single divided-power factor")
-        if value.gens != gens:
+        if value.gens != factor_generators(group):
             raise ValueError("class uses the wrong generator set for this group")
         return cls(group, frozenset({(t,) for t in value.terms}))
-
-    @classmethod
-    def from_su2(cls, group: GroupDescriptor, value: SU2Class) -> "CoefficientClass":
-        if not isinstance(group, SU2):
-            raise ValueError("from_su2 requires the SU(2) descriptor")
-        return cls(group, frozenset({(m,) for m in value.terms}))
 
     @classmethod
     def tensor(cls, a: "CoefficientClass", b: "CoefficientClass") -> "CoefficientClass":
@@ -384,15 +351,9 @@ class CoefficientClass:
         return cls(group, frozenset(acc))
 
     def as_dp(self) -> DPClass:
-        gens = factor_generators(self.group)
-        if gens is None or isinstance(self.group, ProductGroup):
+        if isinstance(self.group, ProductGroup):
             raise ValueError("not a single divided-power factor")
-        return DPClass(gens, frozenset(t[0] for t in self.terms))  # type: ignore[misc]
-
-    def as_su2(self) -> SU2Class:
-        if not isinstance(self.group, SU2):
-            raise ValueError("not an SU(2) class")
-        return SU2Class(frozenset(t[0] for t in self.terms))  # type: ignore[misc]
+        return DPClass(factor_generators(self.group), frozenset(t[0] for t in self.terms))
 
     def __add__(self, other: "CoefficientClass") -> "CoefficientClass":
         if self.group != other.group:
@@ -419,7 +380,8 @@ class CoefficientClass:
 
     def term_degree(self, term: TensorTerm) -> int:
         return sum(
-            _factor_degree(g, m) for g, m in zip(atomic_factors(self.group), term)
+            factor_generators(g).monomial_degree(m)
+            for g, m in zip(atomic_factors(self.group), term)
         )
 
     def degrees(self) -> set[int]:
@@ -432,62 +394,51 @@ class CoefficientClass:
         return ds.pop()
 
     def sorted_terms(self) -> list[TensorTerm]:
-        return sorted(self.terms, key=_tensor_sort_key)
+        return sorted(self.terms)
 
     def to_json(self) -> dict:
-        factors = atomic_factors(self.group)
-        if len(factors) == 1:
-            if isinstance(self.group, SU2):
-                return self.as_su2().to_json()
+        if isinstance(self.group, SU2):
+            return {"su2": [m for ((m,),) in self.sorted_terms()]}
+        if not isinstance(self.group, ProductGroup):
             return self.as_dp().to_json()
+        factors = self.group.factors
         return {
             "group": format_group(self.group),
             "tensor_terms": [
-                [list(m) if isinstance(m, tuple) else m for m in t] for t in self.sorted_terms()
+                [m[0] if isinstance(g, SU2) else list(m) for g, m in zip(factors, t)]
+                for t in self.sorted_terms()
             ],
         }
 
     @classmethod
     def from_json(cls, group: GroupDescriptor, doc) -> "CoefficientClass":
-        factors = atomic_factors(group)
-        if len(factors) == 1:
-            if isinstance(group, SU2):
-                return cls.from_su2(group, SU2Class.from_json(doc))
+        if isinstance(group, SU2):
+            factors, rows = (group,), [[m] for m in doc["su2"]]
+        elif isinstance(group, ProductGroup):
+            factors, rows = group.factors, doc["tensor_terms"]
+        else:
             return cls.from_dp(group, DPClass.from_json(doc))
-        terms = [
-            tuple(tuple(m) if isinstance(m, list) else int(m) for m in t)
-            for t in doc["tensor_terms"]
-        ]
         acc: set[TensorTerm] = set()
-        for t in terms:
-            acc ^= {t}
+        for row in rows:
+            if len(row) != len(factors):
+                raise ValueError("tensor length does not match factor count")
+            for g, m in zip(factors, row):
+                if isinstance(g, SU2) == isinstance(m, list):
+                    raise ValueError(f"bad factor monomial {m!r} for {format_group(g)}")
+            acc ^= {tuple(tuple(m) if isinstance(m, list) else (int(m),) for m in row)}
         return cls(group, frozenset(acc))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         factors = atomic_factors(self.group)
-        parts = []
-        for term in self.sorted_terms():
-            bits = []
-            for g, mono in zip(factors, term):
-                gens = factor_generators(g)
-                if gens is None:
-                    bits.append(f"u_{mono}")
-                else:
-                    assert isinstance(mono, tuple)
-                    facs = [
-                        name if e == 1 else f"{name}^[{e}]"
-                        for name, e in zip(gens.names, mono)
-                        if e
-                    ]
-                    bits.append("*".join(facs) if facs else "1")
-            parts.append(" (x) ".join(bits))
-        return " + ".join(parts)
-
-
-def _tensor_sort_key(term: TensorTerm):
-    return tuple((m,) if isinstance(m, int) else m for m in term)
+        return " + ".join(
+            " (x) ".join(
+                f"u_{mono[0]}" if isinstance(g, SU2) else factor_generators(g).format_monomial(mono)
+                for g, mono in zip(factors, term)
+            )
+            for term in self.sorted_terms()
+        )
 
 
 def coefficient_basis(group: GroupDescriptor, degree: int) -> list[CoefficientClass]:
@@ -730,6 +681,11 @@ def _coproduct_terms(factors: tuple[GroupDescriptor, ...], mono: DPMonomial) -> 
     return out
 
 
+def _check_coefficient_group(g: GroupDescriptor, b: CoefficientClass) -> None:
+    if b.group != g:
+        raise ValueError("coefficient class group does not match the descriptor")
+
+
 def alpha(
     g: GroupDescriptor, k: int, a: DPClass, b: CoefficientClass
 ) -> CoefficientClass:
@@ -739,8 +695,7 @@ def alpha(
     is ``multiplier(g, k, a)``.  Bilinear; on homogeneous inputs the output
     degree is deg(a) + deg(b) + dim(G) (2^k - 1).
     """
-    if b.group != g:
-        raise ValueError("coefficient class group does not match the descriptor")
+    _check_coefficient_group(g, b)
     return multiplier(g, k, a) * b
 
 
@@ -791,11 +746,9 @@ def alpha_z2power_bruteforce(
     Each map is given by its k columns, bitmasks over the l rows; the
     pushes are summed as packed monomials and unpacked once.
     """
-    if b.group != g:
-        raise ValueError("coefficient class group does not match the descriptor")
+    _check_coefficient_group(g, b)
     _check_input_class(a, k)
     gens = factor_generators(g)
-    assert gens is not None
     l = g.l
     width = pack_width(a.terms)
     packed: set[int] = set()
@@ -826,28 +779,23 @@ def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
 def _su2_terms(mono: DPMonomial) -> set[TensorTerm]:
     """SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0.
 
-    ``su2_act`` keeps x^[e] x^[0] = x^[e] when 4 divides e, as u_(e / 4),
+    ``su2_act`` keeps x^[e] u^[0] = x^[e] when 4 divides e, as u^[e / 4],
     so the value is u_((n + 3) / 4) for n = 1 mod 4 and 0 otherwise.
     """
     (n,) = mono
-    return {((n + 3) // 4,)} if n % 4 == 1 else set()
+    return {(((n + 3) // 4,),)} if n % 4 == 1 else set()
 
 
 # ---------------------------------------------------------------------------
 # operations indexed by symmetric-group classes
 
 
-def phi_sigma(
-    g: GroupDescriptor, n: int, a: SymClass, b: CoefficientClass
-) -> CoefficientClass:
-    """The weight-n operation evaluated at a (x) b.
+def _weight_multiplier(g: GroupDescriptor, n: int, a: SymClass) -> CoefficientClass:
+    """The class the weight-n operation indexed by ``a`` multiplies by.
 
-    Vanishes when n is not a power of two and on every term decomposable
-    for the juxtaposition product.  A single circle-word of weight 2^k
-    evaluates through its canonical preimage x_1^[m_1] ... x_k^[m_k]
-    under the rank-k operation; the choice of preimage is immaterial
-    because the evaluation is invariant under GL_k(F2) changes of basis.
-    On homogeneous inputs |output| = |b| + |a| + dim(G)(n - 1).
+    Zero when n is not a power of two; otherwise the sum, over the terms
+    of ``a`` that are indecomposable for the juxtaposition product, of the
+    rank-k multiplier of the term's canonical preimage.
     """
     if n < 1:
         raise ValueError("the weight must be positive")
@@ -863,15 +811,31 @@ def phi_sigma(
     if n & (n - 1):
         return CoefficientClass.zero(g)
     k = n.bit_length() - 1
-    out = CoefficientClass.zero(g)
+    acc: set[TensorTerm] = set()
     for term in a.terms:
         if term_is_decomposable(term):
             continue  # vanishing holds for every such group, no dispatch needed
         (word,) = term
         require_supported(g, k)
         preimage = DPClass.monomial(GeneratorSet.v_basis(k), word.subscripts)
-        out += alpha(g, k, preimage, b)
-    return out
+        acc ^= multiplier(g, k, preimage).terms
+    return CoefficientClass(g, frozenset(acc))
+
+
+def phi_sigma(
+    g: GroupDescriptor, n: int, a: SymClass, b: CoefficientClass
+) -> CoefficientClass:
+    """The weight-n operation evaluated at a (x) b.
+
+    Vanishes when n is not a power of two and on every term decomposable
+    for the juxtaposition product.  A single circle-word of weight 2^k
+    evaluates through its canonical preimage x_1^[m_1] ... x_k^[m_k]
+    under the rank-k operation; the choice of preimage is immaterial
+    because the evaluation is invariant under GL_k(F2) changes of basis.
+    On homogeneous inputs |output| = |b| + |a| + dim(G)(n - 1).
+    """
+    _check_coefficient_group(g, b)
+    return _weight_multiplier(g, n, a) * b
 
 
 def composite_op(
@@ -882,12 +846,14 @@ def composite_op(
     """Composite of weight-n_i operations, rightmost factor applied first.
 
     Each factor multiplies by a class, so the composite is multiplication
-    by their product.  Total degree shift dim(G) * sum(n_i - 1).
+    by their product, formed rightmost factor first and applied to b once.
+    Total degree shift dim(G) * sum(n_i - 1).
     """
-    out = b
+    _check_coefficient_group(g, b)
+    product = CoefficientClass.unit(g)
     for n, a in reversed(list(factors)):
-        out = phi_sigma(g, n, a, out)
-    return out
+        product = _weight_multiplier(g, n, a) * product
+    return product * b
 
 
 # ---------------------------------------------------------------------------

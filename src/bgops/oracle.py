@@ -242,7 +242,8 @@ class FiniteAction:
     For the two-basepoint action the group is (V_k x G x G) acting on
     G-labellings of V_k by (u, g_p, g_q) . (g_v) = (g_p g_{u+v} g_q^-1);
     ``proj`` maps group indices onto V_k x G (forgetting the last
-    coordinate) and ``q_proj`` extracts the last coordinate.
+    coordinate) and ``q_proj`` extracts the last coordinate.  Point x is
+    the labelling at index x of ``itertools.product(range(|G|), repeat=2^k)``.
     """
 
     group: FiniteGroupTable
@@ -251,7 +252,6 @@ class FiniteAction:
     lam: FiniteGroupTable
     proj: tuple[int, ...]
     q_proj: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...] = ()
 
     def check_axioms(self) -> None:
         e = self.group.identity
@@ -324,7 +324,6 @@ def cayley_action(g_table: FiniteGroupTable, k: int) -> FiniteAction:
         lam=lam,
         proj=proj,
         q_proj=q_proj,
-        points=tuple(itertools.product(range(n), repeat=m)),
     )
 
 

@@ -11,7 +11,6 @@ from bgops.gradedalg import (
     DPClass,
     GeneratorMismatchError,
     GeneratorSet,
-    SU2Class,
     _monomial_product,
     beta_push,
     compositions,
@@ -27,6 +26,7 @@ from bgops.gradedalg import (
 G1 = GeneratorSet.v_basis(1)
 G2 = GeneratorSet.v_basis(2)
 TORUS = GeneratorSet.torus_basis(1)
+U = GeneratorSet.su2_basis()
 
 
 def mono(gens, *exps):
@@ -312,18 +312,20 @@ def test_beta_push():
 
 
 def test_su2_examples():
-    assert su2_act(mono(G1, 4), SU2Class.unit()) == SU2Class.generator(1)
-    assert su2_act(mono(G1, 5), SU2Class.unit()).is_zero()
-    assert su2_act(mono(G1, 8), SU2Class.generator(1)) == SU2Class.generator(3)
+    assert su2_act(mono(G1, 4), DPClass.unit(U)) == mono(U, 1)
+    assert su2_act(mono(G1, 5), DPClass.unit(U)).is_zero()
+    assert su2_act(mono(G1, 8), mono(U, 1)) == mono(U, 3)
+    with pytest.raises(ValueError, match="SU\\(2\\) generator"):
+        su2_act(mono(G1, 4), DPClass.unit(G1))
 
 
 def test_su2_module_law():
     for n in range(21):
         for m in range(21):
             for j in (0, 1, 2):
-                b = SU2Class.generator(j)
+                b = mono(U, j)
                 nested = su2_act(mono(G1, n), su2_act(mono(G1, m), b))
-                flat = SU2Class.zero()
+                flat = DPClass.zero(U)
                 product = dp_multiply(mono(G1, n), mono(G1, m))
                 flat = su2_act(product, b)
                 assert nested == flat, (n, m, j)

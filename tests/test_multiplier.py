@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from bgops.gradedalg import (
     DPClass,
     GeneratorSet,
-    SU2Class,
     beta_push,
     compositions,
     dp_coproduct,
@@ -146,7 +145,7 @@ def su2_by_action(mono: tuple[int, ...]) -> set:
     """The SU(2) multiplier as a round trip: ``su2_act`` of x^[n + 3] on u_0."""
     (n,) = mono
     lifted = DPClass.monomial(GeneratorSet.v_basis(1), (n + 3,))
-    return {(m,) for m in su2_act(lifted, SU2Class.unit()).terms}
+    return {(t,) for t in su2_act(lifted, DPClass.unit(GeneratorSet.su2_basis())).terms}
 
 
 def test_closed_circle_and_su2_terms_match_the_round_trips():
@@ -347,12 +346,12 @@ def test_product_laws(spec):
 
 def test_product_matches_the_factor_rules():
     # SU(2): the module action of the lift x^[4m] of u_m
-    x = GeneratorSet.v_basis(1)
+    x, u = GeneratorSet.v_basis(1), GeneratorSet.su2_basis()
     for m in range(9):
         for n in range(9):
-            um, un = (CoefficientClass.from_su2(SU2(), SU2Class.generator(i)) for i in (m, n))
-            expected = su2_act(DPClass.monomial(x, (4 * m,)), SU2Class.generator(n))
-            assert (um * un).as_su2() == expected, (m, n)
+            um, un = (CoefficientClass.from_dp(SU2(), DPClass.monomial(u, (i,))) for i in (m, n))
+            expected = su2_act(DPClass.monomial(x, (4 * m,)), DPClass.monomial(u, (n,)))
+            assert (um * un).as_dp() == expected, (m, n)
     # divided-power factors: the divided-power product
     for spec in ("z2^1", "z2^2", "t^2"):
         g = parse_group(spec)

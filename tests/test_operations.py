@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgops.f2core import F2Matrix, binom_parity
-from bgops.gradedalg import DPClass, GeneratorSet, SU2Class, dp_multiply, linear_push
+from bgops.gradedalg import DPClass, GeneratorSet, dp_multiply, linear_push
 from bgops.operations import (
     A_count,
     CoefficientClass,
@@ -119,9 +119,7 @@ def test_alpha_torus_examples():
 
 def test_alpha_su2_examples():
     g = SU2()
-    assert alpha(g, 1, mono(V1, 1), unit(g)) == CoefficientClass.from_su2(
-        g, SU2Class.generator(1)
-    )
+    assert alpha(g, 1, mono(V1, 1), unit(g)) == dp_coeff(g, 1)
     assert alpha(g, 1, mono(V1, 2), unit(g)).is_zero()
 
 
@@ -430,6 +428,24 @@ def test_phi_examples():
         phi_sigma(Z2, 4, SymClass.single(CircWord.of(1)), b4)  # weight mismatch
 
 
+@pytest.mark.parametrize(
+    "n,a",
+    [
+        # not a power of two: every term vanishes before any multiplier is formed
+        (3, SymClass.from_terms([[CircWord.of(1), CircWord.of()]])),
+        # every term decomposable
+        (4, SymClass.from_terms([[CircWord.of(1), CircWord.of(3)]])),
+    ],
+)
+def test_weight_operations_reject_a_class_over_another_group(n, a):
+    b = unit(Torus(1))
+    message = "coefficient class group does not match the descriptor"
+    with pytest.raises(ValueError, match=message):
+        phi_sigma(Z2, n, a, b)
+    with pytest.raises(ValueError, match=message):
+        composite_op(Z2, [(n, a)], b)
+
+
 def test_phi_accepts_non_generator_words():
     # E_2 o E_5 is not of generator shape but has the preimage x1^[2] x2^[5]
     word = SymClass.single(CircWord.of(2, 5))
@@ -453,7 +469,7 @@ def test_composite_order_is_right_to_left():
     g = SU2()
     # x^[5] then x^[1]: 5 = 1 mod 4 sends u_0 to u_2, then 1 mod 4 sends u_2 to u_3
     out = composite_op(g, [(2, e1), (2, e5)], unit(g))
-    assert out == CoefficientClass.from_su2(g, SU2Class.generator(3))
+    assert out == dp_coeff(g, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -601,21 +617,30 @@ def test_nontriviality_extends_by_large_doubled_exponents():
 
 def test_coefficient_class_rejects_bad_terms():
     pair = ProductGroup((Z2Power(2), SU2()))
-    good = {((i, 1), i) for i in range(5)}
+    good = {((i, 1), (i,)) for i in range(5)}
     with pytest.raises(ValueError, match="tensor length does not match factor count"):
         CoefficientClass(pair, frozenset(good | {((1, 1),)}))
     bad_terms = (
         (Z2Power(2), ((1,),), "bad factor monomial \\(1,\\) for z2\\^2"),
         (Z2Power(1), ((-1,),), "bad factor monomial \\(-1,\\) for z2\\^1"),
         (Z2Power(1), (3,), "bad factor monomial 3 for z2\\^1"),
-        (SU2(), ((3,),), "bad factor monomial \\(3,\\) for su2"),
-        (SU2(), (-2,), "bad factor monomial -2 for su2"),
+        (SU2(), ((3, 1),), "bad factor monomial \\(3, 1\\) for su2"),
+        (SU2(), (3,), "bad factor monomial 3 for su2"),
+        (SU2(), ((-2,),), "bad factor monomial \\(-2,\\) for su2"),
     )
     for g, term, message in bad_terms:
         with pytest.raises(ValueError, match=message):
             CoefficientClass(g, frozenset({term}))
     # one bad monomial among many terms that share the good ones
-    for bad in (((0, 1), -1), ((2, 3), -5), ((7, 7), -9), ((0, 1, 2), 1), ((3,), 4), ((-1, 2), 0)):
+    for bad in (
+        ((0, 1), (-1,)),
+        ((2, 3), (-5,)),
+        ((7, 7), (-9,)),
+        ((0, 1, 2), (1,)),
+        ((3,), (4,)),
+        ((-1, 2), (0,)),
+        ((0, 1), 2),
+    ):
         with pytest.raises(ValueError, match="bad factor monomial"):
             CoefficientClass(pair, frozenset(good | {bad}))
     assert len(CoefficientClass(pair, frozenset(good)).terms) == 5
