@@ -1,11 +1,12 @@
-"""Golden outputs of the oracle layer and of the z2^l fast path, fixed
-values that pin exactness.
+"""Golden outputs of the oracle layer, of the z2^l fast path and of the
+operations on the other groups, fixed values that pin exactness.
 
 Speed-ups must leave these outputs bit-identical.  The oracle values were
 recorded from the route before the generator-spanned bar boundaries and
-the packed ``linear_push``, the multiplier values from the column pass
-before the row product; a change that moves any of them changes an
-output, not just its speed.
+the packed ``linear_push``, the z2^l multiplier values from the column
+pass before the row product, and the values on the other groups from the
+tuple product of coefficient classes before the packed one; a change that
+moves any of them changes an output, not just its speed.
 """
 
 import hashlib
@@ -16,8 +17,18 @@ import pytest
 
 from bgops import cli
 from bgops.gradedalg import DPClass, GeneratorSet
-from bgops.operations import CoefficientClass, Z2Power, alpha_z2power_bruteforce, multiplier
+from bgops.operations import (
+    CoefficientClass,
+    Z2Power,
+    alpha,
+    alpha_z2power_bruteforce,
+    coefficient_basis,
+    composite_op,
+    multiplier,
+    parse_group,
+)
 from bgops.oracle import FiniteGroupTable, bar_homology, bar_space
+from bgops.symhomology import CircWord, SymClass
 
 ORACLE_CHECK_LINES = [
     {"check": "orbit_census", "params": {"group": "z2", "k": 1}, "pass": True},
@@ -142,3 +153,97 @@ def test_z2power_multiplier_box_is_golden(case):
 @pytest.mark.parametrize("n", sorted(LADDER))
 def test_z2power_multiplier_ladder_is_golden(n):
     assert sha256(json.dumps(multiplier_json(3, (n,)), sort_keys=True)) == LADDER[n]
+
+
+# ---------------------------------------------------------------------------
+# multipliers, alpha and composites outside z2^l
+
+GOLDEN_GROUPS = ("t^1", "t^2", "su2", "d6", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)")
+GOLDEN_MAX_K = {"t^1": 2, "t^2": 2, "su2": 1, "d6": 3, "(z2)x(su2)": 1, "(t^1)x(z2)": 2, "(su2)x(su2)": 1}
+# k -> top exponent of each entry of a; the k = 1 range crosses the packed
+# field edges 2^w - 1, 2^w for w up to 5
+GOLDEN_TOPS = {0: 0, 1: 48, 2: 12, 3: 6}
+
+
+def golden_monomials(spec: str):
+    for k in range(GOLDEN_MAX_K[spec] + 1):
+        for exps in itertools.product(range(GOLDEN_TOPS[k] + 1), repeat=k):
+            yield k, DPClass.monomial(GeneratorSet.v_basis(k), exps)
+
+
+def golden_composites(spec: str):
+    """Two-factor composites E_m o E_n, and E_(i,j) o E_m where k = 2 is
+    supported, each as its list of (weight, SymClass) factors."""
+    for m, n in itertools.product(range(1, 13), repeat=2):
+        yield [(2, SymClass.single(CircWord.of(m))), (2, SymClass.single(CircWord.of(n)))]
+    if GOLDEN_MAX_K[spec] >= 2:
+        for i, j, m in itertools.product(range(1, 7), repeat=3):
+            if i <= j:
+                yield [(4, SymClass.single(CircWord.of(i, j))), (2, SymClass.single(CircWord.of(m)))]
+
+
+def multi_term_b(g) -> CoefficientClass:
+    """The sum of the canonical basis of degrees 0 to 2: every low term at once."""
+    out = CoefficientClass.zero(g)
+    for d in range(3):
+        for b in coefficient_basis(g, d):
+            out += b
+    return out
+
+
+GOLDEN_OPERATIONS = {
+    # group: (sha256 of the JSON list of multiplier(g, k, a) over
+    # golden_monomials, which alpha(g, k, a, 1) must also give; sha256 of
+    # the JSON list of composite_op on the unit and on multi_term_b over
+    # golden_composites)
+    "t^1": (
+        "fa820c312c109dd839fd53f68469498a159bcb464dcc65cdf178e14f30fe6a04",
+        "84f06503ad00b128aa8178c528de3649a4a937d32da170d84c9a50dd2d5aaf4e",
+    ),
+    "t^2": (
+        "494c13fb4d660e52eae7f5032899e33242e55f0d98db469c3c1352f7b84d34dd",
+        "7c4f6a6ecb7240a7b3455ed923210977f3406b38dd02fe9326364efa98de867f",
+    ),
+    "su2": (
+        "fa7a6777aef3f796e4db3e7dc9ff53a6a9487fbaaaf139113a9985c60a562ca0",
+        "996a8db71f6b14f542f5cec4be9e0d3e3f27b0618af4f0761f3391340da8fc57",
+    ),
+    "d6": (
+        "0cd2a24f28eaecd2b85d31b23d2e76f25879b9a7f263decc87adc6f6546d56cd",
+        "914fe6d795162a670905f70f00908a241cee83b057bac96b33f5891d79da3341",
+    ),
+    "(z2)x(su2)": (
+        "14ce61c7bcf70bedcd9bdbe556c1fd904a0562d39868c9549c9b8bf51aece3c6",
+        "10030e23df48e6424781221e1b47a3fa30b02433abf2795d99bf788e325aba88",
+    ),
+    "(t^1)x(z2)": (
+        "af6d6aae44e4b1b500e549247959dddbcb9e6afba32d41c73f45ec2acb2742e2",
+        "b6bebdea0195e6c9837a00b59091784e959d1f5307e6e86006e9ced4392f1ec4",
+    ),
+    "(su2)x(su2)": (
+        "5c300b9aa08ad6208c9a12f4c26cadea761aef7d80b05dc9037fe28760e209fd",
+        "cbcb6b44f879b0f5b13d4aa736a50001b93ade73142a9941aaf360f779d525e8",
+    ),
+}
+
+
+def golden_operation_outputs(spec: str) -> tuple[list, list, list]:
+    g = parse_group(spec)
+    unit, b = CoefficientClass.unit(g), multi_term_b(g)
+    mults, alphas = [], []
+    for k, a in golden_monomials(spec):
+        mults.append(multiplier(g, k, a).to_json())
+        alphas.append(alpha(g, k, a, unit).to_json())
+    composites = [
+        [composite_op(g, factors, unit).to_json(), composite_op(g, factors, b).to_json()]
+        for factors in golden_composites(spec)
+    ]
+    return mults, alphas, composites
+
+
+@pytest.mark.parametrize("spec", GOLDEN_GROUPS)
+def test_operations_outside_z2power_are_golden(spec):
+    mults, alphas, composites = golden_operation_outputs(spec)
+    assert alphas == mults
+    digests = (sha256(json.dumps(mults, sort_keys=True)), sha256(json.dumps(composites, sort_keys=True)))
+    assert digests == GOLDEN_OPERATIONS[spec]
