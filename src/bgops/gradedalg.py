@@ -14,6 +14,7 @@ divided power u^[m] is the degree-4m class u_m).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -113,7 +114,7 @@ class DPClass:
     def __post_init__(self) -> None:
         n = len(self.gens)
         for t in self.terms:
-            if len(t) != n or any(e < 0 for e in t):
+            if len(t) != n or (n and min(t) < 0):
                 raise ValueError(f"bad monomial {t!r} for {n} generators")
 
     @classmethod
@@ -173,15 +174,26 @@ class DPClass:
             ],
         }
 
+    JSON_SHAPE = (
+        '{"generators": [{"name": NAME, "degree": D}, ...], '
+        '"terms": [{NAME: EXPONENT, ...}, ...]}'
+    )
+
     @classmethod
     def from_json(cls, doc: Mapping) -> "DPClass":
-        gens = GeneratorSet(
-            tuple(g["name"] for g in doc["generators"]),
-            tuple(int(g["degree"]) for g in doc["generators"]),
-        )
-        return cls.from_terms(
-            gens, [tuple(int(t.get(n, 0)) for n in gens.names) for t in doc["terms"]]
-        )
+        """Inverse of ``to_json``; a document of another shape raises
+        ValueError naming the expected one."""
+        try:
+            gens = GeneratorSet(
+                tuple(g["name"] for g in doc["generators"]),
+                tuple(int(g["degree"]) for g in doc["generators"]),
+            )
+            terms = [tuple(int(t.get(n, 0)) for n in gens.names) for t in doc["terms"]]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"expected a class of the shape {cls.JSON_SHAPE} ({type(exc).__name__}: {exc})"
+            ) from None
+        return cls.from_terms(gens, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -189,25 +201,17 @@ class DPClass:
         return " + ".join(self.gens.format_monomial(t) for t in self.sorted_terms())
 
 
-def _monomial_product(m: DPMonomial, n: DPMonomial) -> DPMonomial | None:
-    """Product of two monomials, or None when the coefficient is even."""
-    for a, b in zip(m, n):
-        if a & b:
-            return None
-    return tuple(a | b for a, b in zip(m, n))
-
-
 def dp_multiply(a: DPClass, b: DPClass) -> DPClass:
-    """Bilinear extension of v^[n] v^[m] = C(n+m, m) v^[n+m]."""
+    """Bilinear extension of v^[n] v^[m] = C(n+m, m) v^[n+m], as one packed
+    product: generator i at bit i * w, w from the largest exponent of a
+    and b (see ``packed_product``), unpacked once."""
     if a.gens != b.gens:
         raise GeneratorMismatchError("cannot multiply classes over different generators")
-    acc: set[DPMonomial] = set()
-    for m in a.terms:
-        for n in b.terms:
-            p = _monomial_product(m, n)
-            if p is not None:
-                acc ^= {p}
-    return DPClass(a.gens, frozenset(acc))
+    l = len(a.gens)
+    width = field_width(max((max(t, default=0) for t in a.terms | b.terms), default=0))
+    shifts = range(0, l * width, width)
+    packed = packed_product([pack_monomials(a.terms, shifts), pack_monomials(b.terms, shifts)])
+    return DPClass(a.gens, frozenset(unpack_monomials(packed, l, width)))
 
 
 def dp_coproduct(mono: DPMonomial) -> list[tuple[DPMonomial, DPMonomial]]:
@@ -217,11 +221,10 @@ def dp_coproduct(mono: DPMonomial) -> list[tuple[DPMonomial, DPMonomial]]:
     all coefficients 1.  The pair list is the product of the per-generator
     splittings, in lexicographic order of the left factor.
     """
-    pairs = []
-    for left in itertools.product(*(range(e + 1) for e in mono)):
-        right = tuple(e - i for e, i in zip(mono, left))
-        pairs.append((left, right))
-    return pairs
+    return [
+        (left, tuple(map(operator.sub, mono, left)))
+        for left in itertools.product(*[range(e + 1) for e in mono])
+    ]
 
 
 def packed_compositions(n: int, shifts: Sequence[int], minimum: int = 0) -> list[int]:
@@ -260,15 +263,36 @@ def _packed_sum_power(rows_mask: int, n: int, l: int, width: int) -> tuple[int, 
     return tuple(packed_compositions(n, shifts))
 
 
+def field_width(bound: int) -> int:
+    """Bits per packed exponent field that hold every exponent up to
+    ``bound``; at least one, so that the fields have distinct offsets."""
+    return max(bound.bit_length(), 1)
+
+
+def pack_monomials(terms: Iterable[Sequence[int]], shifts: Sequence[int]) -> list[int]:
+    """Each exponent vector as one int, exponent i at bit ``shifts[i]``."""
+    return [sum(map(operator.lshift, t, shifts)) for t in terms]
+
+
 def packed_product(factors: Sequence[Sequence[int]]) -> set[int]:
     """Terms of the product of sums of packed monomials.
 
-    A packed monomial holds its exponents in fields wide enough for every
-    exponent of the product.  Two of them multiply to m | n when
-    m & n == 0, their exponents being bitwise disjoint generator by
-    generator, and to zero otherwise.  Each factor must list distinct
-    monomials.  The factors are taken smallest first, so the partial
-    products stay small, and the loop stops once one is zero.
+    Layout: each generator owns a field of w bits at its own offset, the
+    fields of different generators disjoint, and every exponent of every
+    factor is below 2^w.  Then m & n == 0 exactly when the exponents of m
+    and n are bitwise disjoint generator by generator, which by Lucas'
+    theorem is exactly when every binomial C(e + f, e) of the product
+    v^[e] v^[f] = C(e + f, e) v^[e + f] is odd; the product is then m | n.
+
+    No carry.  For bitwise disjoint e and f, e + f = e | f, and the OR of
+    two values below 2^w is below 2^w.  So each field of m | n holds the
+    sum of the two exponents and no field spills into the next, and every
+    product of the factors, however many, again has all its exponents
+    below 2^w: the width need only bound the exponents of the factors.
+
+    Each factor must list distinct monomials.  The factors are taken
+    smallest first, so the partial products stay small, and the loop stops
+    once one is zero.
     """
     if not factors:
         return {0}
@@ -337,9 +361,11 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
 
 
 def pack_width(terms: Iterable[DPMonomial]) -> int:
-    """Bits per generator that hold every exponent of a push of ``terms``:
-    an output exponent is at most its term's total degree."""
-    return max((sum(mono) for mono in terms), default=0).bit_length()
+    """Bits per generator that hold every exponent of a push of ``terms``,
+    or of the multiplier of a class with these terms (see
+    ``operations.multiplier``): an output exponent is at most its term's
+    total degree."""
+    return field_width(max((sum(mono) for mono in terms), default=0))
 
 
 def linear_push_packed(

@@ -23,20 +23,21 @@ silently returning zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .f2core import binom_parity, multinomial_parity
 from .gradedalg import (
     DPClass,
     DPMonomial,
     GeneratorSet,
-    _monomial_product,
     compositions,
     dp_coproduct,
     dp_multiply,
+    field_width,
     linear_push_packed,
     pack_width,
     packed_compositions,
@@ -281,16 +282,53 @@ def _factor_basis(g: GroupDescriptor, degree: int) -> list[DPMonomial]:
     return list(compositions(degree // d, len(gens)))
 
 
-def _term_product(s: TensorTerm, t: TensorTerm) -> TensorTerm | None:
-    """Product of two basis tensors, factor by factor by the divided-power
-    rule, or None when a coefficient is even."""
-    out = []
-    for m, n in zip(s, t):
-        p = _monomial_product(m, n)
-        if p is None:
-            return None
-        out.append(p)
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _layout(g: GroupDescriptor) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First generator index and generator count of each atomic factor of G."""
+    sizes = tuple(len(factor_generators(f)) for f in atomic_factors(g))
+    return tuple(itertools.accumulate(sizes[:-1], initial=0)), sizes
+
+
+def _pack_terms(g: GroupDescriptor, terms: Iterable[TensorTerm], width: int) -> list[int]:
+    """Tensor terms as ints, generator i of G at bit i * width; with one
+    generator, a term's int is its exponent."""
+    starts, sizes = _layout(g)
+    if sizes == (1,):
+        return [t[0][0] for t in terms]
+    shifts = range(0, sum(sizes) * width, width)
+    return [sum(map(operator.lshift, itertools.chain.from_iterable(t), shifts)) for t in terms]
+
+
+def _unpack_class(g: GroupDescriptor, packed: Iterable[int], width: int) -> "CoefficientClass":
+    """The class of terms packed as ``_pack_terms`` does.  On a product,
+    each distinct factor monomial is unpacked once per call and shared, as
+    the tensors of the product formula share their legs."""
+    starts, sizes = _layout(g)
+    if sizes == (1,):
+        return CoefficientClass(g, frozenset([((p,),) for p in packed]))
+    mask = (1 << width) - 1
+    if len(sizes) == 1:
+        span = range(0, sizes[0] * width, width)
+        terms = [(tuple([(p >> i) & mask for i in span]),) for p in packed]
+        return CoefficientClass(g, frozenset(terms))
+    fields = [
+        (i * width, (1 << n * width) - 1, range(0, n * width, width), {})
+        for i, n in zip(starts, sizes)
+    ]
+    terms = []
+    for p in packed:
+        term = []
+        for shift, field, span, seen in fields:
+            bits = (p >> shift) & field
+            if (mono := seen.get(bits)) is None:
+                mono = seen[bits] = tuple([(bits >> i) & mask for i in span])
+            term.append(mono)
+        terms.append(tuple(term))
+    return CoefficientClass(g, frozenset(terms))
+
+
+def _max_exponent(terms: Iterable[TensorTerm]) -> int:
+    return max(map(max, itertools.chain.from_iterable(terms)), default=0)
 
 
 @dataclass(frozen=True)
@@ -314,14 +352,18 @@ class CoefficientClass:
     terms: frozenset[TensorTerm]
 
     def __post_init__(self) -> None:
-        factors = atomic_factors(self.group)
-        if any(len(t) != len(factors) for t in self.terms):
-            raise ValueError("tensor length does not match factor count")
+        if not self.terms:
+            return
+        sizes = _layout(self.group)[1]
+        n = len(sizes)
+        for t in self.terms:
+            if len(t) != n:
+                raise ValueError("tensor length does not match factor count")
         # each distinct monomial once per factor position
-        for j, g in enumerate(factors):
-            size = len(factor_generators(g))
+        for j, size in enumerate(sizes):
             for mono in {t[j] for t in self.terms}:
                 if not isinstance(mono, tuple) or len(mono) != size or min(mono) < 0:
+                    g = atomic_factors(self.group)[j]
                     raise ValueError(f"bad factor monomial {mono!r} for {format_group(g)}")
 
     @classmethod
@@ -330,8 +372,7 @@ class CoefficientClass:
 
     @classmethod
     def unit(cls, group: GroupDescriptor) -> "CoefficientClass":
-        term = tuple((0,) * len(factor_generators(f)) for f in atomic_factors(group))
-        return cls(group, frozenset({term}))
+        return cls(group, frozenset({tuple((0,) * n for n in _layout(group)[1])}))
 
     @classmethod
     def from_dp(cls, group: GroupDescriptor, value: DPClass) -> "CoefficientClass":
@@ -361,16 +402,16 @@ class CoefficientClass:
         return CoefficientClass(self.group, self.terms ^ other.terms)
 
     def __mul__(self, other: "CoefficientClass") -> "CoefficientClass":
-        """Product in H_*(BG): commutative, associative, with unit ``unit``."""
+        """Product in H_*(BG): commutative, associative, with unit ``unit``;
+        one ``packed_product``, w from the largest exponent of either class."""
         if self.group != other.group:
             raise ValueError("cannot multiply classes over different groups")
-        acc: set[TensorTerm] = set()
-        for s in self.terms:
-            for t in other.terms:
-                p = _term_product(s, t)
-                if p is not None:
-                    acc ^= {p}
-        return CoefficientClass(self.group, frozenset(acc))
+        g = self.group
+        width = field_width(max(_max_exponent(self.terms), _max_exponent(other.terms)))
+        packed = packed_product(
+            [_pack_terms(g, self.terms, width), _pack_terms(g, other.terms, width)]
+        )
+        return _unpack_class(g, packed, width)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -412,15 +453,30 @@ class CoefficientClass:
 
     @classmethod
     def from_json(cls, group: GroupDescriptor, doc) -> "CoefficientClass":
+        """Inverse of ``to_json`` over ``group``.  A document of another
+        shape, or one whose ``"group"`` names another group, raises
+        ValueError naming the expected shape or group."""
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"expected a JSON object for a class over {format_group(group)}")
+        if "group" in doc and parse_group(str(doc["group"])) != group:
+            raise ValueError(
+                f"the class is written for {doc['group']}, not for {format_group(group)}"
+            )
         if isinstance(group, SU2):
-            factors, rows = (group,), [[m] for m in doc["su2"]]
+            factors, key, shape = (group,), "su2", '{"su2": [M, ...]}'
         elif isinstance(group, ProductGroup):
-            factors, rows = group.factors, doc["tensor_terms"]
+            factors, key = group.factors, "tensor_terms"
+            shape = '{"group": G, "tensor_terms": [[FACTOR, ...], ...]}'
         else:
             return cls.from_dp(group, DPClass.from_json(doc))
+        rows = doc.get(key)
+        if not isinstance(rows, list):
+            raise ValueError(f"expected a class of the shape {shape} for {format_group(group)}")
+        if isinstance(group, SU2):
+            rows = [[m] for m in rows]
         acc: set[TensorTerm] = set()
         for row in rows:
-            if len(row) != len(factors):
+            if not isinstance(row, list) or len(row) != len(factors):
                 raise ValueError("tensor length does not match factor count")
             for g, m in zip(factors, row):
                 if isinstance(g, SU2) == isinstance(m, list):
@@ -578,7 +634,7 @@ def require_supported(g: GroupDescriptor, k: int) -> None:
 
 
 def _check_input_class(a: DPClass, k: int) -> None:
-    if len(a.gens) != k or any(d != 1 for d in a.gens.degrees):
+    if a.gens.degrees != (1,) * k:
         raise ValueError(f"input class must live over {k} degree-1 generators")
 
 
@@ -606,40 +662,75 @@ def multiplier(g: GroupDescriptor, k: int, a: DPClass) -> CoefficientClass:
     C(a) is: if C(a) = 0 then C(a) * b = 0 for every b, and otherwise b = 1
     is a witness.  The same holds for a composite, whose value on b is the
     product of its multipliers times b, by associativity.
+
+    Layout.  C(a) is built as ints: G's generators in factor order,
+    generator i at bit i * w (``_layout``).  An exponent of C(a) is at most
+    |a|, the top total exponent of a's terms: it is a row or column sum or
+    n_1 + ... + n_k on a finite factor, (|a| + 3) / 2 with |a| >= 3 on a
+    circle (else the value is 0), (n + 3) / 4 on SU(2), and a coproduct
+    leg's is bounded by its part of a.  So w = ``pack_width(a.terms)``
+    bits hold them, and ``packed_product`` multiplies without carries.
     """
+    width = pack_width(a.terms)
+    return _unpack_class(g, _packed_multiplier(g, k, a, width), width)
+
+
+def _packed_multiplier(g: GroupDescriptor, k: int, a: DPClass, width: int) -> set[int]:
+    """C(a) packed as ``multiplier`` lays it out, with ``width`` bits per field."""
     if k < 0:
         raise ValueError("k must be non-negative")
     require_supported(g, k)
     _check_input_class(a, k)
     if k == 0:
         # a is a scalar multiple of the unit class over zero generators
-        return CoefficientClass.unit(g) if () in a.terms else CoefficientClass.zero(g)
-    acc: set[TensorTerm] = set()
+        return {0} if () in a.terms else set()
+    build = _builder(g, width)
+    acc: set[int] = set()
     for mono in a.terms:
-        acc ^= _monomial_multiplier(g, mono)
-    return CoefficientClass(g, frozenset(acc))
+        acc ^= build(mono, 0)
+    return acc
 
 
-def _monomial_multiplier(g: GroupDescriptor, mono: DPMonomial) -> set[TensorTerm]:
-    """Terms of C(x^[mono]) for a supported pair (g, k = len(mono)), k >= 1."""
-    if isinstance(g, Dihedral) or (isinstance(g, Z2Power) and g.l == 1):
-        return _rank_one_terms(mono)
-    if isinstance(g, Z2Power):
-        return _z2power_terms(g.l, mono)
-    if isinstance(g, SU2):
-        return _su2_terms(mono)
-    if isinstance(g, Torus) and g.l == 1:
-        return _circle_terms(mono)
-    if isinstance(g, Torus):
-        # as a product of l circles: (e_1) (x) ... (x) (e_l) is y1^[e_1]...yl^[e_l]
-        return {(tuple(e for (e,) in t),) for t in _coproduct_terms((Torus(1),) * g.l, mono)}
-    assert isinstance(g, ProductGroup)
-    return _coproduct_terms(g.factors, mono)
+def _multiply(
+    g: GroupDescriptor, inputs: Sequence[tuple[int, DPClass]], b: CoefficientClass
+) -> CoefficientClass:
+    """C(a_1) ... C(a_r) * b for the (k_i, a_i) of ``inputs``, as one packed
+    product unpacked once; w holds every exponent of b and of each C(a_i)."""
+    bounds = [sum(mono) for _, a in inputs for mono in a.terms]
+    width = field_width(max([_max_exponent(b.terms)] + bounds))
+    factors = [_packed_multiplier(g, k, a, width) for k, a in inputs]
+    if not all(factors):
+        return CoefficientClass.zero(g)
+    return _unpack_class(g, packed_product(factors + [_pack_terms(g, b.terms, width)]), width)
 
 
-def _coproduct_terms(factors: tuple[GroupDescriptor, ...], mono: DPMonomial) -> set[TensorTerm]:
+def _builder(g: GroupDescriptor, width: int) -> Callable[[DPMonomial, int], set[int]]:
+    """build(mono, shift): C(x^[mono]) for g with its first field at bit
+    ``shift``, for a supported pair (g, k = len(mono)), k >= 1."""
+    kind = type(g)
+    if kind is Dihedral or (kind is Z2Power and g.l == 1):
+        return _rank_one_terms
+    if kind is Z2Power:
+        return functools.partial(_z2power_terms, g.l, width=width)
+    if kind is SU2:
+        return _su2_terms
+    if kind is Torus and g.l == 1:
+        return _circle_terms
+    if kind is ProductGroup:
+        parts, starts = g.factors, _layout(g)[0]
+    else:  # a torus as a product of circles, generator y_i circle i
+        parts, starts = (Torus(1),) * g.l, range(g.l)
+    return lambda mono, shift: _coproduct_terms(
+        parts, [shift + s * width for s in starts], mono, width
+    )
+
+
+def _coproduct_terms(
+    factors: Sequence[GroupDescriptor], shifts: Sequence[int], mono: DPMonomial, width: int
+) -> set[int]:
     """Product formula: C(x^[mono]) = sum of C_1(x^[l_1]) (x) ... (x) C_m(x^[l_m])
-    over the splittings mono = l_1 + ... + l_m, C_i the i-th factor's.
+    over the splittings mono = l_1 + ... + l_m, C_i the i-th factor's,
+    packed with factor i's first field at bit ``shifts[i]``.
 
     Proof.  The diagonal of the product induces the iterated coproduct on
     a.  The deconcatenation coproduct is coassociative and splits each
@@ -650,34 +741,55 @@ def _coproduct_terms(factors: tuple[GroupDescriptor, ...], mono: DPMonomial) -> 
 
     The sum is folded over the factors, keyed by the exponents used so
     far: after i factors, ``partial[u]`` is the sum over the splittings
-    u = l_1 + ... + l_i of C_1(x^[l_1]) (x) ... (x) C_i(x^[l_i]).  Each
-    non-last factor's nonzero legs C_i(x^[l]), l a left part of
-    ``dp_coproduct(mono)``, are listed once per call, and identical
-    factors share one list; the last factor takes the rest, mono - u.
-    Distinct tensor terms concatenate to distinct terms, so the sums are
-    symmetric differences of sets.
+    u = l_1 + ... + l_i of C_1(x^[l_1]) (x) ... (x) C_i(x^[l_i]), so
+    after the first factor it is that factor's legs.  Each non-last
+    factor's nonzero legs C_i(x^[l]), l a left part of
+    ``dp_coproduct(mono)``, are built once per call, and identical
+    factors share them, shifted to each one's fields; the last factor
+    takes the rest, mono - u.  The factors' fields are disjoint, so a
+    tensor of terms is the OR of their packed ints, and distinct tensors
+    are distinct ints: the sums are symmetric differences of sets.
     """
+    # The splittings' exponent vectors are ints too, vw bits per generator
+    # of a: a part of mono, or a sum of two, stays below a field's top
+    # bit, so used + left adds entrywise, and it is at most mono in every
+    # entry exactly when ceiling - (used + left) keeps every top bit.
+    vw = max(mono).bit_length() + 2
+    vshifts = range(0, len(mono) * vw, vw)
+    guards = sum(1 << (s + vw - 1) for s in vshifts)
+    ceiling = sum(map(operator.lshift, mono, vshifts)) | guards
     lefts = [left for left, _ in dp_coproduct(mono)]
-    legs_of: dict[GroupDescriptor, list[tuple[DPMonomial, set[TensorTerm]]]] = {}
-    partial: dict[DPMonomial, set[TensorTerm]] = {(0,) * len(mono): {()}}
-    for factor in factors[:-1]:
+    legs_of: dict[GroupDescriptor, list[tuple[int, set[int]]]] = {}
+
+    def legs(factor: GroupDescriptor, shift: int) -> list[tuple[int, Iterable[int]]]:
         if factor not in legs_of:
+            build = _builder(factor, width)
             legs_of[factor] = [
-                (left, terms) for left in lefts if (terms := _monomial_multiplier(factor, left))
+                (sum(map(operator.lshift, left, vshifts)), terms)
+                for left in lefts
+                if (terms := build(left, 0))
             ]
-        extended: dict[DPMonomial, set[TensorTerm]] = {}
+        if not shift:
+            return legs_of[factor]
+        return [(v, [t << shift for t in terms]) for v, terms in legs_of[factor]]
+
+    partial = dict(legs(factors[0], shifts[0]))
+    for factor, shift in zip(factors[1:-1], shifts[1:]):
+        factor_legs = legs(factor, shift)
+        extended: dict[int, set[int]] = {}
         for used, heads in partial.items():
-            for left, terms in legs_of[factor]:
-                total = tuple(map(operator.add, used, left))
-                if any(map(operator.gt, total, mono)):
+            for left, terms in factor_legs:
+                total = used + left
+                if (ceiling - total) & guards != guards:
                     continue
                 acc = extended.setdefault(total, set())
-                acc ^= {s + t for s in heads for t in terms}
+                acc ^= {s | t for s in heads for t in terms}
         partial = {used: heads for used, heads in extended.items() if heads}
-    out: set[TensorTerm] = set()
+    build, shift, low = _builder(factors[-1], width), shifts[-1], (1 << (vw - 1)) - 1
+    out: set[int] = set()
     for used, heads in partial.items():
-        tails = _monomial_multiplier(factors[-1], tuple(map(operator.sub, mono, used)))
-        out ^= {s + t for s in heads for t in tails}
+        tails = build(tuple([((ceiling - used) >> s) & low for s in vshifts]), shift)
+        out ^= {s | t for s in heads for t in tails}
     return out
 
 
@@ -692,21 +804,22 @@ def alpha(
     """The rank-k operation on H_*(BG) evaluated at a (x) b: C(a) * b.
 
     ``a`` is a class over k degree-1 generators; ``b`` a class over G; C(a)
-    is ``multiplier(g, k, a)``.  Bilinear; on homogeneous inputs the output
-    degree is deg(a) + deg(b) + dim(G) (2^k - 1).
+    is ``multiplier(g, k, a)``, here multiplied by b packed, without being
+    built as a class.  Bilinear; on homogeneous inputs the output degree
+    is deg(a) + deg(b) + dim(G) (2^k - 1).
     """
     _check_coefficient_group(g, b)
-    return multiplier(g, k, a) * b
+    return _multiply(g, [(k, a)], b)
 
 
-def _rank_one_terms(mono: DPMonomial) -> set[TensorTerm]:
+def _rank_one_terms(mono: DPMonomial, shift: int) -> set[int]:
     """Z/2 target (and dihedral targets, transported)."""
-    if all(e > 0 for e in mono) and multinomial_parity(mono):
-        return {((sum(mono),),)}
+    if min(mono) > 0 and multinomial_parity(mono):
+        return {sum(mono) << shift}
     return set()
 
 
-def _z2power_terms(l: int, mono: DPMonomial) -> set[TensorTerm]:
+def _z2power_terms(l: int, mono: DPMonomial, shift: int, width: int) -> set[int]:
     """Rank-l elementary abelian target: C(x^[n]) as a product over rows.
 
     For each row r let P(n_r) be the sum of t^[e] over the compositions e
@@ -724,18 +837,15 @@ def _z2power_terms(l: int, mono: DPMonomial) -> set[TensorTerm]:
     bit-disjoint columns, A_count(n, c), mod 2: the term t^[c] is present
     exactly when the matrix count is odd, as ``multiplier`` defines it.
 
-    Each P(n_r) is built as packed ints, ``sum(n).bit_length()`` bits per
-    generator, since every column sum is at most |n|; the rows multiply
-    with ``packed_product``, the kernel ``linear_push`` uses, and the
-    terms are unpacked once.  A row with n_r < l has no composition, so
-    the product is 0.
+    Each P(n_r) is built as packed ints, t_i at bit shift + i * width,
+    and the rows multiply with ``packed_product``, the kernel
+    ``linear_push`` uses.  A row with n_r < l has no composition, so the
+    product is 0.
     """
     if min(mono) < l:
         return set()
-    width = sum(mono).bit_length()
-    shifts = [i * width for i in range(l)]
-    rows = [packed_compositions(n, shifts, 1) for n in mono]
-    return {(t,) for t in unpack_monomials(packed_product(rows), l, width)}
+    shifts = range(shift, shift + l * width, width)
+    return packed_product([packed_compositions(n, shifts, 1) for n in mono])
 
 
 def alpha_z2power_bruteforce(
@@ -758,7 +868,7 @@ def alpha_z2power_bruteforce(
     return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
 
 
-def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
+def _circle_terms(mono: DPMonomial, shift: int) -> set[int]:
     """The circle (k <= 2): the halving map applied to x^[top].
 
     top is n + 1 for k = 1, and n_1 + n_2 + 3 for k = 2 when
@@ -773,29 +883,30 @@ def _circle_terms(mono: DPMonomial) -> set[TensorTerm]:
         if binom_parity(n1 + n2 + 2, n1 + 1):
             return set()
         top = n1 + n2 + 3
-    return {((top // 2,),)} if top % 2 == 0 else set()
+    return {(top // 2) << shift} if top % 2 == 0 else set()
 
 
-def _su2_terms(mono: DPMonomial) -> set[TensorTerm]:
+def _su2_terms(mono: DPMonomial, shift: int) -> set[int]:
     """SU(2) (k = 1): the module action of x^[n + 3] on the unit u_0.
 
     ``su2_act`` keeps x^[e] u^[0] = x^[e] when 4 divides e, as u^[e / 4],
     so the value is u_((n + 3) / 4) for n = 1 mod 4 and 0 otherwise.
     """
     (n,) = mono
-    return {(((n + 3) // 4,),)} if n % 4 == 1 else set()
+    return {((n + 3) // 4) << shift} if n % 4 == 1 else set()
 
 
 # ---------------------------------------------------------------------------
 # operations indexed by symmetric-group classes
 
 
-def _weight_multiplier(g: GroupDescriptor, n: int, a: SymClass) -> CoefficientClass:
-    """The class the weight-n operation indexed by ``a`` multiplies by.
+def _weight_input(g: GroupDescriptor, n: int, a: SymClass) -> tuple[int, DPClass] | None:
+    """(k, a') such that the weight-n operation indexed by ``a`` multiplies
+    by the rank-k multiplier C(a'), or None when it multiplies by 0.
 
-    Zero when n is not a power of two; otherwise the sum, over the terms
-    of ``a`` that are indecomposable for the juxtaposition product, of the
-    rank-k multiplier of the term's canonical preimage.
+    Zero when n is not a power of two; otherwise a' is the sum, over the
+    terms of ``a`` that are indecomposable for the juxtaposition product,
+    of the term's canonical preimage, and C is linear in a'.
     """
     if n < 1:
         raise ValueError("the weight must be positive")
@@ -809,17 +920,16 @@ def _weight_multiplier(g: GroupDescriptor, n: int, a: SymClass) -> CoefficientCl
                 f"weight mismatch: term of weight {term_weight(term)} in a weight-{n} operation"
             )
     if n & (n - 1):
-        return CoefficientClass.zero(g)
+        return None
     k = n.bit_length() - 1
-    acc: set[TensorTerm] = set()
+    preimages = []
     for term in a.terms:
         if term_is_decomposable(term):
             continue  # vanishing holds for every such group, no dispatch needed
         (word,) = term
         require_supported(g, k)
-        preimage = DPClass.monomial(GeneratorSet.v_basis(k), word.subscripts)
-        acc ^= multiplier(g, k, preimage).terms
-    return CoefficientClass(g, frozenset(acc))
+        preimages.append(word.subscripts)
+    return (k, DPClass.from_terms(GeneratorSet.v_basis(k), preimages)) if preimages else None
 
 
 def phi_sigma(
@@ -835,7 +945,10 @@ def phi_sigma(
     On homogeneous inputs |output| = |b| + |a| + dim(G)(n - 1).
     """
     _check_coefficient_group(g, b)
-    return _weight_multiplier(g, n, a) * b
+    weight_input = _weight_input(g, n, a)
+    if weight_input is None:
+        return CoefficientClass.zero(g)
+    return _multiply(g, [weight_input], b)
 
 
 def composite_op(
@@ -846,14 +959,14 @@ def composite_op(
     """Composite of weight-n_i operations, rightmost factor applied first.
 
     Each factor multiplies by a class, so the composite is multiplication
-    by their product, formed rightmost factor first and applied to b once.
-    Total degree shift dim(G) * sum(n_i - 1).
+    by their product, formed with b in one packed product.  Total degree
+    shift dim(G) * sum(n_i - 1).
     """
     _check_coefficient_group(g, b)
-    product = CoefficientClass.unit(g)
-    for n, a in reversed(list(factors)):
-        product = _weight_multiplier(g, n, a) * product
-    return product * b
+    inputs = [_weight_input(g, n, a) for n, a in reversed(list(factors))]
+    if None in inputs:
+        return CoefficientClass.zero(g)
+    return _multiply(g, inputs, b)
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,31 @@ def test_internal_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
     assert EXIT_INTERNAL not in (EXIT_NONZERO, EXIT_ZERO, EXIT_ERROR)
     assert out == ""
     assert "internal error: orbit sum did not produce a cycle" in err
+
+
+# malformed class documents: each exits 2 with a message that says what is
+# expected, not a bare KeyError or TypeError
+MALFORMED_B = [
+    ("z2", "[1]", "expected a JSON object for a class over z2^1"),
+    ("z2", '{"su2": 3}', 'expected a class of the shape {"generators": '),
+    ("z2", '{"terms": [{}]}', 'expected a class of the shape {"generators": '),
+    ("su2", '{"su2": 3}', 'expected a class of the shape {"su2": [M, ...]} for su2'),
+    ("(z2)x(su2)", '{"tensor_terms": 1}', 'expected a class of the shape {"group": G, "tensor_terms"'),
+]
+
+
+@pytest.mark.parametrize("group,b,message", MALFORMED_B)
+def test_malformed_class_json_names_the_expected_shape(capsys, group, b, message):
+    code, _, err = run(capsys, "alpha", "--group", group, "-k", "1", "--a", "[1]", "--b", b)
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_class_written_for_another_group_is_rejected(capsys):
+    b = '{"group": "su2", "tensor_terms": [[[0], 0]]}'
+    code, _, err = run(capsys, "alpha", "--group", "(z2)x(su2)", "-k", "1", "--a", "[1]", "--b", b)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: the class is written for su2, not for (z2^1)x(su2)"), err
+    # the same document names its own group in another spelling
+    b = '{"group": "(z2^1) x (su2)", "tensor_terms": [[[0], 0]]}'
+    assert run(capsys, "alpha", "--group", "(z2)x(su2)", "-k", "1", "--a", "[2]", "--b", b)[0] == EXIT_NONZERO

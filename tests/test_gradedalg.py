@@ -11,7 +11,6 @@ from bgops.gradedalg import (
     DPClass,
     GeneratorMismatchError,
     GeneratorSet,
-    _monomial_product,
     beta_push,
     compositions,
     dp_coproduct,
@@ -22,6 +21,7 @@ from bgops.gradedalg import (
     su2_act,
     unpack_monomials,
 )
+from references import monomial_product
 
 G1 = GeneratorSet.v_basis(1)
 G2 = GeneratorSet.v_basis(2)
@@ -183,7 +183,7 @@ def sum_power_by_tuples(rows_mask, n, l):
 
 def linear_push_by_tuples(k_matrix, a):
     """The route ``linear_push`` took before it packed monomials into ints:
-    exponent tuples, multiplied by ``_monomial_product``."""
+    exponent tuples, multiplied by ``monomial_product``."""
     l = k_matrix.rows
     target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
     columns = [k_matrix.column(j) for j in range(len(a.gens))]
@@ -196,7 +196,7 @@ def linear_push_by_tuples(k_matrix, a):
             nxt = set()
             for m in partial:
                 for n in sum_power_by_tuples(columns[j], e, l):
-                    p = _monomial_product(m, n)
+                    p = monomial_product(m, n)
                     if p is not None:
                         nxt ^= {p}
             partial = nxt
@@ -291,7 +291,7 @@ def test_packed_product_matches_the_monomial_product():
             nxt = set()
             for m in expected:
                 for n in f:
-                    p = _monomial_product(m, n)
+                    p = monomial_product(m, n)
                     if p is not None:
                         nxt ^= {p}
             expected = nxt

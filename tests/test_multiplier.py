@@ -28,12 +28,12 @@ from bgops.operations import (
     SU2,
     A_count,
     CoefficientClass,
+    atomic_factors,
+    composite_op,
+    factor_generators,
     ProductGroup,
     Torus,
     Z2Power,
-    _circle_terms,
-    _su2_terms,
-    _z2power_terms,
     alpha,
     alpha_z2power_bruteforce,
     coefficient_basis,
@@ -41,6 +41,13 @@ from bgops.operations import (
     multiplier,
     nontrivial_witness,
     parse_group,
+)
+from bgops.symhomology import CircWord, SymClass
+from references import (
+    alpha_by_tuples,
+    composite_by_tuples,
+    multiplier_by_tuples,
+    product_by_tuples,
 )
 
 GRID_GROUPS = (
@@ -148,13 +155,18 @@ def su2_by_action(mono: tuple[int, ...]) -> set:
     return {(t,) for t in su2_act(lifted, DPClass.unit(GeneratorSet.su2_basis())).terms}
 
 
+def multiplier_terms(g, mono: tuple[int, ...]) -> frozenset:
+    """The terms of C(x^[mono]) through the public ``multiplier``."""
+    return multiplier(g, len(mono), DPClass.monomial(GeneratorSet.v_basis(len(mono)), mono)).terms
+
+
 def test_closed_circle_and_su2_terms_match_the_round_trips():
     for n in range(201):
-        assert _circle_terms((n,)) == circle_by_halving((n,)), n
-        assert _su2_terms((n,)) == su2_by_action((n,)), n
+        assert multiplier_terms(Torus(1), (n,)) == circle_by_halving((n,)), n
+        assert multiplier_terms(SU2(), (n,)) == su2_by_action((n,)), n
     for n1 in range(201):
         for n2 in range(201 - n1):
-            assert _circle_terms((n1, n2)) == circle_by_halving((n1, n2)), (n1, n2)
+            assert multiplier_terms(Torus(1), (n1, n2)) == circle_by_halving((n1, n2)), (n1, n2)
 
 
 def multiplier_by_compositions(l: int, mono: tuple[int, ...]) -> frozenset:
@@ -187,7 +199,7 @@ def test_one_pass_multiplier_matches_column_vector_definition():
 
 
 def z2power_terms_by_columns(l: int, mono: tuple[int, ...]) -> set:
-    """The column pass that ``_z2power_terms`` made before the row product.
+    """The column pass that the z2^l multiplier made before the row product.
 
     All column vectors c with A_count(n, c) odd are found in one pass over
     the columns: the state after j columns is (remaining row sums, column
@@ -244,7 +256,7 @@ def test_row_product_matches_column_pass_exhaustively():
     for l in (2, 3, 4):
         for k, top in COLUMN_PASS_TOPS.items():
             for mono in itertools.product(range(top + 1), repeat=k):
-                terms = _z2power_terms(l, mono)
+                terms = multiplier_terms(Z2Power(l), mono)
                 assert terms == z2power_terms_by_columns(l, mono), (l, mono)
                 nonzero += bool(terms)
     assert nonzero > 300
@@ -263,7 +275,7 @@ def wide_monomials(draw):
 @given(wide_monomials())
 def test_row_product_matches_column_pass_on_wide_rows(case):
     l, mono = case
-    assert _z2power_terms(l, mono) == z2power_terms_by_columns(l, mono)
+    assert multiplier_terms(Z2Power(l), mono) == z2power_terms_by_columns(l, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +383,133 @@ def test_product_matches_the_factor_rules():
 def test_product_rejects_mixed_groups():
     with pytest.raises(ValueError):
         CoefficientClass.unit(Z2Power(1)) * CoefficientClass.unit(Torus(1))
+
+
+# ---------------------------------------------------------------------------
+# the packed products against the tuple references, as properties
+
+PROPERTY_GROUPS = ("z2^2", "z2^3", "d6", "t^1", "t^2", "su2", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)")
+
+
+def edge_exponent(draw, top_width: int) -> int:
+    """An exponent at a packed field edge, 2^w - 1 or 2^w, or a small one."""
+    w = draw(st.integers(1, top_width))
+    return draw(st.sampled_from(((1 << w) - 1, 1 << w, draw(st.integers(0, 3)))))
+
+
+def draw_a(draw, spec: str, k: int) -> DPClass:
+    """Zero to three terms over k generators.  z2^l with k >= 2 keeps its
+    exponents below 9, where one row product stays small."""
+    top_width = 3 if spec.startswith("z2^") and k >= 2 else 5
+    terms = [
+        tuple(edge_exponent(draw, top_width) for _ in range(k))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return DPClass.from_terms(GeneratorSet.v_basis(k), terms)
+
+
+def draw_b(draw, g) -> CoefficientClass:
+    """Zero to four tensor terms, exponents at field edges up to 2^6."""
+    terms = set()
+    for _ in range(draw(st.integers(0, 4))):
+        terms ^= {
+            tuple(
+                tuple(edge_exponent(draw, 6) for _ in range(len(factor_generators(f))))
+                for f in atomic_factors(g)
+            )
+        }
+    return CoefficientClass(g, frozenset(terms))
+
+
+@st.composite
+def operation_inputs(draw):
+    spec = draw(st.sampled_from(PROPERTY_GROUPS))
+    g = parse_group(spec)
+    k = draw(st.integers(0, MAX_K.get(spec, 2)))
+    return g, k, draw_a(draw, spec, k), draw_a(draw, spec, k), draw_b(draw, g), draw_b(draw, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operation_inputs())
+def test_packed_routes_match_the_tuple_references(case):
+    g, k, a, _, b, c = case
+    assert multiplier(g, k, a) == multiplier_by_tuples(g, k, a)
+    assert alpha(g, k, a, b) == alpha_by_tuples(g, k, a, b)
+    assert b * c == product_by_tuples(b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operation_inputs())
+def test_alpha_is_bilinear(case):
+    g, k, a1, a2, b1, b2 = case
+    assert alpha(g, k, a1 + a2, b1) == alpha(g, k, a1, b1) + alpha(g, k, a2, b1)
+    assert alpha(g, k, a1, b1 + b2) == alpha(g, k, a1, b1) + alpha(g, k, a1, b2)
+    assert alpha(g, k, DPClass.zero(a1.gens), b1).is_zero()
+    assert alpha(g, k, a1, CoefficientClass.zero(g)).is_zero()
+
+
+@st.composite
+def composite_inputs(draw):
+    """One to three factors of weight 1, 2, 4 or 8 within the group's
+    supported ranks, each a sum of words, sometimes with a decomposable
+    term or at a weight that is not a power of two."""
+    spec = draw(st.sampled_from(PROPERTY_GROUPS))
+    g = parse_group(spec)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, min(MAX_K.get(spec, 2), 2)))
+        top_width = 3 if spec.startswith("z2^") and k >= 2 else 5
+        subscript = st.one_of(st.integers(1, 12), st.builds(max, st.just(1), st.integers(0, 1 << top_width)))
+        terms = [
+            (CircWord.of(*(draw(subscript) for _ in range(k))),)
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        if k >= 1 and draw(st.booleans()):
+            # two words of half the weight: decomposable, so it contributes 0
+            half = CircWord.of(*(draw(st.integers(1, 4)) for _ in range(k - 1)))
+            terms.append((half, half))
+        n = 1 << k
+        if k == 1 and draw(st.integers(0, 4)) == 0:
+            # weight 3: [1] juxtaposed with a weight-2 word, never a power of two
+            n, terms = 3, [(CircWord.of(), CircWord.of(draw(st.integers(1, 8))))]
+        factors.append((n, SymClass.from_terms(terms)))
+    b = draw_b(draw, g)
+    if draw(st.booleans()):
+        b += CoefficientClass.unit(g)
+    return g, factors, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(composite_inputs())
+def test_composite_matches_the_factor_by_factor_reference(case):
+    g, factors, b = case
+    assert composite_op(g, factors, b) == composite_by_tuples(g, factors, b)
+
+
+@st.composite
+def product_formula_inputs(draw):
+    l = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    top = {1: 40, 2: 12, 3: 7}[k] if l == 2 else {1: 24, 2: 9, 3: 6}[k]
+    terms = [
+        tuple(draw(st.integers(0, top)) for _ in range(k)) for _ in range(draw(st.integers(1, 2)))
+    ]
+    b = [tuple(draw(st.integers(0, 8)) for _ in range(l)) for _ in range(draw(st.integers(0, 3)))]
+    return l, k, DPClass.from_terms(GeneratorSet.v_basis(k), terms), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_formula_inputs())
+def test_product_formula_matches_the_direct_z2power_path(case):
+    """z2^l as the product (z2)^l: the coproduct fold over l rank-one
+    factors gives the row product's value, on the unit and on b."""
+    l, k, a, b_terms = case
+    direct, product = Z2Power(l), ProductGroup((Z2Power(1),) * l)
+    b = CoefficientClass(direct, frozenset((t,) for t in b_terms))
+    b_split = CoefficientClass(product, frozenset(tuple((e,) for e in t) for t in b_terms))
+
+    def joined(c: CoefficientClass) -> frozenset:
+        return frozenset((tuple(m[0] for m in t),) for t in c.terms)
+
+    assert multiplier(direct, k, a).terms == joined(multiplier(product, k, a))
+    assert alpha(direct, k, a, b).terms == joined(alpha(product, k, a, b_split))
