@@ -208,7 +208,8 @@ def dp_multiply(a: DPClass, b: DPClass) -> DPClass:
     if a.gens != b.gens:
         raise GeneratorMismatchError("cannot multiply classes over different generators")
     l = len(a.gens)
-    width = field_width(max((max(t, default=0) for t in a.terms | b.terms), default=0))
+    exponents = itertools.chain.from_iterable(itertools.chain(a.terms, b.terms))
+    width = field_width(max(exponents, default=0))
     shifts = range(0, l * width, width)
     packed = packed_product([pack_monomials(a.terms, shifts), pack_monomials(b.terms, shifts)])
     return DPClass(a.gens, frozenset(unpack_monomials(packed, l, width)))
