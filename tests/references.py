@@ -122,7 +122,8 @@ def weight_multiplier_by_tuples(g, n: int, a) -> CoefficientClass:
     for term in a.terms:
         if not term_is_decomposable(term):
             (word,) = term
-            out += multiplier_by_tuples(g, k, DPClass.monomial(GeneratorSet.v_basis(k), word.subscripts))
+            preimage = DPClass.monomial(GeneratorSet.v_basis(k), word.subscripts)
+            out += multiplier_by_tuples(g, k, preimage)
     return out
 
 

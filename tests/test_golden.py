@@ -159,7 +159,9 @@ def test_z2power_multiplier_ladder_is_golden(n):
 # multipliers, alpha and composites outside z2^l
 
 GOLDEN_GROUPS = ("t^1", "t^2", "su2", "d6", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)")
-GOLDEN_MAX_K = {"t^1": 2, "t^2": 2, "su2": 1, "d6": 3, "(z2)x(su2)": 1, "(t^1)x(z2)": 2, "(su2)x(su2)": 1}
+GOLDEN_MAX_K = {
+    "t^1": 2, "t^2": 2, "su2": 1, "d6": 3, "(z2)x(su2)": 1, "(t^1)x(z2)": 2, "(su2)x(su2)": 1
+}
 # k -> top exponent of each entry of a; the k = 1 range crosses the packed
 # field edges 2^w - 1, 2^w for w up to 5
 GOLDEN_TOPS = {0: 0, 1: 48, 2: 12, 3: 6}
@@ -179,7 +181,10 @@ def golden_composites(spec: str):
     if GOLDEN_MAX_K[spec] >= 2:
         for i, j, m in itertools.product(range(1, 7), repeat=3):
             if i <= j:
-                yield [(4, SymClass.single(CircWord.of(i, j))), (2, SymClass.single(CircWord.of(m)))]
+                yield [
+                    (4, SymClass.single(CircWord.of(i, j))),
+                    (2, SymClass.single(CircWord.of(m))),
+                ]
 
 
 def multi_term_b(g) -> CoefficientClass:
@@ -245,5 +250,5 @@ def golden_operation_outputs(spec: str) -> tuple[list, list, list]:
 def test_operations_outside_z2power_are_golden(spec):
     mults, alphas, composites = golden_operation_outputs(spec)
     assert alphas == mults
-    digests = (sha256(json.dumps(mults, sort_keys=True)), sha256(json.dumps(composites, sort_keys=True)))
+    digests = tuple(sha256(json.dumps(out, sort_keys=True)) for out in (mults, composites))
     assert digests == GOLDEN_OPERATIONS[spec]

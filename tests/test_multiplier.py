@@ -28,15 +28,15 @@ from bgops.operations import (
     SU2,
     A_count,
     CoefficientClass,
-    atomic_factors,
-    composite_op,
-    factor_generators,
     ProductGroup,
     Torus,
     Z2Power,
     alpha,
     alpha_z2power_bruteforce,
+    atomic_factors,
     coefficient_basis,
+    composite_op,
+    factor_generators,
     group_dim,
     multiplier,
     nontrivial_witness,
@@ -388,7 +388,9 @@ def test_product_rejects_mixed_groups():
 # ---------------------------------------------------------------------------
 # the packed products against the tuple references, as properties
 
-PROPERTY_GROUPS = ("z2^2", "z2^3", "d6", "t^1", "t^2", "su2", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)")
+PROPERTY_GROUPS = (
+    "z2^2", "z2^3", "d6", "t^1", "t^2", "su2", "(z2)x(su2)", "(t^1)x(z2)", "(su2)x(su2)"
+)
 
 
 def edge_exponent(draw, top_width: int) -> int:
@@ -459,7 +461,8 @@ def composite_inputs(draw):
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, min(MAX_K.get(spec, 2), 2)))
         top_width = 3 if spec.startswith("z2^") and k >= 2 else 5
-        subscript = st.one_of(st.integers(1, 12), st.builds(max, st.just(1), st.integers(0, 1 << top_width)))
+        edge = st.builds(max, st.just(1), st.integers(0, 1 << top_width))
+        subscript = st.one_of(st.integers(1, 12), edge)
         terms = [
             (CircWord.of(*(draw(subscript) for _ in range(k))),)
             for _ in range(draw(st.integers(0, 4)))
