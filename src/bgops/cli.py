@@ -206,21 +206,11 @@ def _oracle_checks(degree_bound: int):
 
 
     gens1 = GeneratorSet.v_basis(1)
-    ok = True
-    for n in range(0, min(4, degree_bound) + 1):
-        a = DPClass.monomial(gens1, (n,))
-        b = CoefficientClass.unit(Z2Power(1))
-        if compsum_alpha(z2, 1, a, b, max_degree=12) != alpha(Z2Power(1), 1, a, b):
-            ok = False
-    yield ("compsum_vs_closed_form", {"group": "z2", "k": 1}, ok)
-
-    ok = True
-    for n in range(0, min(3, degree_bound) + 1):
-        a = DPClass.monomial(gens1, (n,))
-        b = CoefficientClass.unit(Dihedral(1))
-        if compsum_alpha(d6, 1, a, b, max_degree=10) != alpha(Dihedral(1), 1, a, b):
-            ok = False
-    yield ("compsum_vs_closed_form", {"group": "d6", "k": 1}, ok)
+    for table, g, name, top, cap in ((z2, Z2Power(1), "z2", 4, 12), (d6, Dihedral(1), "d6", 3, 10)):
+        b = CoefficientClass.unit(g)
+        inputs = [DPClass.monomial(gens1, (n,)) for n in range(min(top, degree_bound) + 1)]
+        ok = [compsum_alpha(table, 1, a, b, max_degree=cap) == alpha(g, 1, a, b) for a in inputs]
+        yield ("compsum_vs_closed_form", {"group": name, "k": 1}, all(ok))
 
     v2 = FiniteGroupTable.elementary_abelian(2)
     diag = [0, 3]

@@ -87,14 +87,6 @@ class F2Matrix:
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols, (0,) * rows)
 
-    def column(self, j: int) -> int:
-        """Column j as a bitmask over row indices."""
-        out = 0
-        for i, r in enumerate(self.data):
-            if (r >> j) & 1:
-                out |= 1 << i
-        return out
-
     def apply(self, v: int) -> int:
         """Matrix times column vector; v is a bitmask over columns."""
         out = 0
@@ -243,9 +235,6 @@ class SpanSolver:
         """Combination mask over inserted vectors reproducing v, or None."""
         v, combo = self._reduce(v, 0)
         return combo if v == 0 else None
-
-    def contains(self, v: int) -> bool:
-        return self.coordinates(v) is not None
 
     def project(self, positions: Sequence[int]) -> "SpanSolver":
         """The same span, with coordinates over the vectors at ``positions``.

@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .f2core import F2Matrix
 
@@ -322,28 +322,21 @@ def unpack_monomials(packed: Iterable[int], l: int, width: int) -> list[DPMonomi
     return [tuple([(p >> shift) & exponent for shift in shifts]) for p in packed]
 
 
-def compositions(n: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` integers >= minimum summing to n, in lex order."""
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    if parts == 1:
-        if n >= minimum:
-            yield (n,)
-        return
-    for first in range(minimum, n - minimum * (parts - 1) + 1):
-        for rest in compositions(n - first, parts - 1, minimum):
-            yield (first,) + rest
+def compositions(n: int, parts: int) -> list[DPMonomial]:
+    """All tuples of ``parts`` non-negative integers summing to n, in lex
+    order: ``packed_compositions`` unpacked and sorted."""
+    width = field_width(n)
+    packed = packed_compositions(n, range(0, parts * width, width))
+    return sorted(unpack_monomials(packed, parts, width))
 
 
-def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = None) -> DPClass:
+def linear_push(k_matrix: F2Matrix, a: DPClass) -> DPClass:
     """Map on homology induced by a linear map of elementary abelian 2-groups.
 
     ``k_matrix`` is l x k over GF(2); ``a`` lives over k degree-1
     generators.  The induced ring map is determined by
     x_j^[n] -> (sum of t_i over rows i with K[i][j] = 1)^[n], expanded by
-    divided-power addition.
+    divided-power addition, into the classes over ``GeneratorSet.z2_basis(l)``.
     """
     k = len(a.gens)
     if any(d != 1 for d in a.gens.degrees):
@@ -351,10 +344,7 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
     if k_matrix.cols != k:
         raise ValueError("matrix column count must match source generator count")
     l = k_matrix.rows
-    if target is None:
-        target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
-    if len(target) != l or any(d != 1 for d in target.degrees):
-        raise ValueError("target generator set must have l degree-1 generators")
+    target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
     columns = k_matrix.columns()
     width = pack_width(a.terms)
     packed = linear_push_packed(columns, a.terms, l, width)
@@ -364,7 +354,7 @@ def linear_push(k_matrix: F2Matrix, a: DPClass, target: GeneratorSet | None = No
 def pack_width(terms: Iterable[DPMonomial]) -> int:
     """Bits per generator that hold every exponent of a push of ``terms``,
     or of the multiplier of a class with these terms (see
-    ``operations.multiplier``): an output exponent is at most its term's
+    ``operations._multiply``): an output exponent is at most its term's
     total degree."""
     return field_width(max((sum(mono) for mono in terms), default=0))
 
@@ -385,23 +375,19 @@ def linear_push_packed(
     return acc
 
 
-def beta_push(a: DPClass, target: GeneratorSet | None = None) -> DPClass:
-    """Halving map from one degree-1 generator to one degree-2 generator.
+def beta_push(a: DPClass) -> DPClass:
+    """Halving map from one degree-1 generator to the degree-2 generator y.
 
     x^[2m] -> y^[m] and x^[2m+1] -> 0; this is a ring map, zero in odd
     degrees and a degreewise isomorphism in even degrees.
     """
     if len(a.gens) != 1 or a.gens.degrees != (1,):
         raise ValueError("beta_push expects one degree-1 generator")
-    if target is None:
-        target = GeneratorSet.torus_basis(1)
-    if len(target) != 1 or target.degrees != (2,):
-        raise ValueError("beta_push target must be one degree-2 generator")
     acc: set[DPMonomial] = set()
     for (e,) in a.terms:
         if e % 2 == 0:
             acc ^= {(e // 2,)}
-    return DPClass(target, frozenset(acc))
+    return DPClass(GeneratorSet.torus_basis(1), frozenset(acc))
 
 
 def su2_act(a: DPClass, b: DPClass) -> DPClass:

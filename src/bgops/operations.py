@@ -36,13 +36,11 @@ from .gradedalg import (
     GeneratorSet,
     compositions,
     dp_coproduct,
-    dp_multiply,
     field_width,
     linear_push_packed,
     pack_width,
     packed_compositions,
     packed_product,
-    unpack_monomials,
 )
 from .symhomology import SymClass, term_is_decomposable, term_weight
 
@@ -279,7 +277,7 @@ def _factor_basis(g: GroupDescriptor, degree: int) -> list[DPMonomial]:
     d = gens.degrees[0]
     if degree % d:
         return []
-    return list(compositions(degree // d, len(gens)))
+    return compositions(degree // d, len(gens))
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,16 +400,10 @@ class CoefficientClass:
         return CoefficientClass(self.group, self.terms ^ other.terms)
 
     def __mul__(self, other: "CoefficientClass") -> "CoefficientClass":
-        """Product in H_*(BG): commutative, associative, with unit ``unit``;
-        one ``packed_product``, w from the largest exponent of either class."""
+        """Product in H_*(BG): commutative, associative, with unit ``unit``."""
         if self.group != other.group:
             raise ValueError("cannot multiply classes over different groups")
-        g = self.group
-        width = field_width(max(_max_exponent(self.terms), _max_exponent(other.terms)))
-        packed = packed_product(
-            [_pack_terms(g, self.terms, width), _pack_terms(g, other.terms, width)]
-        )
-        return _unpack_class(g, packed, width)
+        return _multiply(self.group, [], [self, other])
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -500,26 +492,24 @@ class CoefficientClass:
 def coefficient_basis(group: GroupDescriptor, degree: int) -> list[CoefficientClass]:
     """Canonical homology basis of BG in one degree.
 
-    Ordered lexicographically: for products, by the composition of the
-    degree over the factors first, then by factor monomials.
+    Ordered lexicographically factor by factor: by the first factor's
+    degree, then its monomial, then the next factor's degree, and so on;
+    the last factor takes the rest of the degree.
     """
-    factors = atomic_factors(group)
-
-    def rec(idx: int, remaining: int) -> Iterable[TensorTerm]:
-        if idx == len(factors):
-            if remaining == 0:
-                yield ()
-            return
-        if idx == len(factors) - 1:
-            for mono in _factor_basis(factors[idx], remaining):
-                yield (mono,)
-            return
-        for d in range(remaining + 1):
-            for mono in _factor_basis(factors[idx], d):
-                for rest in rec(idx + 1, remaining - d):
-                    yield (mono,) + rest
-
-    return [CoefficientClass(group, frozenset({t})) for t in rec(0, degree)]
+    *heads, last = atomic_factors(group)
+    partial: list[tuple[TensorTerm, int]] = [((), 0)]
+    for g in heads:
+        partial = [
+            (term + (mono,), used + d)
+            for term, used in partial
+            for d in range(degree - used + 1)
+            for mono in _factor_basis(g, d)
+        ]
+    return [
+        CoefficientClass(group, frozenset({term + (mono,)}))
+        for term, used in partial
+        for mono in _factor_basis(last, degree - used)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -662,21 +652,12 @@ def multiplier(g: GroupDescriptor, k: int, a: DPClass) -> CoefficientClass:
     C(a) is: if C(a) = 0 then C(a) * b = 0 for every b, and otherwise b = 1
     is a witness.  The same holds for a composite, whose value on b is the
     product of its multipliers times b, by associativity.
-
-    Layout.  C(a) is built as ints: G's generators in factor order,
-    generator i at bit i * w (``_layout``).  An exponent of C(a) is at most
-    |a|, the top total exponent of a's terms: it is a row or column sum or
-    n_1 + ... + n_k on a finite factor, (|a| + 3) / 2 with |a| >= 3 on a
-    circle (else the value is 0), (n + 3) / 4 on SU(2), and a coproduct
-    leg's is bounded by its part of a.  So w = ``pack_width(a.terms)``
-    bits hold them, and ``packed_product`` multiplies without carries.
     """
-    width = pack_width(a.terms)
-    return _unpack_class(g, _packed_multiplier(g, k, a, width), width)
+    return _multiply(g, [(k, a)], [])
 
 
 def _packed_multiplier(g: GroupDescriptor, k: int, a: DPClass, width: int) -> set[int]:
-    """C(a) packed as ``multiplier`` lays it out, with ``width`` bits per field."""
+    """C(a) packed as ``_multiply`` lays it out, with ``width`` bits per field."""
     if k < 0:
         raise ValueError("k must be non-negative")
     require_supported(g, k)
@@ -692,16 +673,30 @@ def _packed_multiplier(g: GroupDescriptor, k: int, a: DPClass, width: int) -> se
 
 
 def _multiply(
-    g: GroupDescriptor, inputs: Sequence[tuple[int, DPClass]], b: CoefficientClass
+    g: GroupDescriptor,
+    inputs: Sequence[tuple[int, DPClass]],
+    classes: Sequence[CoefficientClass],
 ) -> CoefficientClass:
-    """C(a_1) ... C(a_r) * b for the (k_i, a_i) of ``inputs``, as one packed
-    product unpacked once; w holds every exponent of b and of each C(a_i)."""
+    """C(a_1) ... C(a_r) c_1 ... c_s for the (k_i, a_i) of ``inputs`` and the
+    c_j of ``classes``, as one packed product unpacked once.  Every product
+    of classes in this module is formed here.
+
+    Layout.  Each factor is built as ints: G's generators in factor order,
+    generator i at bit i * w (``_layout``).  An exponent of C(a) is at most
+    |a|, the top total exponent of a's terms: it is a row or column sum or
+    n_1 + ... + n_k on a finite factor, (|a| + 3) / 2 with |a| >= 3 on a
+    circle (else the value is 0), (n + 3) / 4 on SU(2), and a coproduct
+    leg's is bounded by its part of a.  So w from the largest |a_i| and
+    the largest exponent of the c_j holds every factor, and
+    ``packed_product`` multiplies without carries.
+    """
     bounds = [sum(mono) for _, a in inputs for mono in a.terms]
-    width = field_width(max([_max_exponent(b.terms)] + bounds))
+    width = field_width(max(bounds + [_max_exponent(c.terms) for c in classes], default=0))
     factors = [_packed_multiplier(g, k, a, width) for k, a in inputs]
     if not all(factors):
         return CoefficientClass.zero(g)
-    return _unpack_class(g, packed_product(factors + [_pack_terms(g, b.terms, width)]), width)
+    factors += [_pack_terms(g, c.terms, width) for c in classes]
+    return _unpack_class(g, packed_product(factors), width)
 
 
 def _builder(g: GroupDescriptor, width: int) -> Callable[[DPMonomial, int], set[int]]:
@@ -809,7 +804,7 @@ def alpha(
     is deg(a) + deg(b) + dim(G) (2^k - 1).
     """
     _check_coefficient_group(g, b)
-    return _multiply(g, [(k, a)], b)
+    return _multiply(g, [(k, a)], [b])
 
 
 def _rank_one_terms(mono: DPMonomial, shift: int) -> set[int]:
@@ -854,18 +849,16 @@ def alpha_z2power_bruteforce(
     """Internal oracle: sum of induced maps over all 2^(l k) linear maps.
 
     Each map is given by its k columns, bitmasks over the l rows; the
-    pushes are summed as packed monomials and unpacked once.
+    pushes are summed as packed monomials, unpacked once and multiplied
+    by b.
     """
     _check_coefficient_group(g, b)
     _check_input_class(a, k)
-    gens = factor_generators(g)
-    l = g.l
     width = pack_width(a.terms)
     packed: set[int] = set()
-    for columns in itertools.product(range(1 << l), repeat=k):
-        packed ^= linear_push_packed(columns, a.terms, l, width)
-    acc = DPClass(gens, frozenset(unpack_monomials(packed, l, width)))
-    return CoefficientClass.from_dp(g, dp_multiply(acc, b.as_dp()))
+    for columns in itertools.product(range(1 << g.l), repeat=k):
+        packed ^= linear_push_packed(columns, a.terms, g.l, width)
+    return _unpack_class(g, packed, width) * b
 
 
 def _circle_terms(mono: DPMonomial, shift: int) -> set[int]:
@@ -948,7 +941,7 @@ def phi_sigma(
     weight_input = _weight_input(g, n, a)
     if weight_input is None:
         return CoefficientClass.zero(g)
-    return _multiply(g, [weight_input], b)
+    return _multiply(g, [weight_input], [b])
 
 
 def composite_op(
@@ -966,7 +959,7 @@ def composite_op(
     inputs = [_weight_input(g, n, a) for n, a in reversed(list(factors))]
     if None in inputs:
         return CoefficientClass.zero(g)
-    return _multiply(g, inputs, b)
+    return _multiply(g, inputs, [b])
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +988,10 @@ class WitnessResult:
 def nontrivial_witness(g: GroupDescriptor, k: int, a: DPClass) -> WitnessResult:
     """A class b with a nonzero operation value, or a proof that none exists.
 
-    The operation is multiplication by ``multiplier(g, k, a)``, so one
-    evaluation at the unit decides it for every b.
+    The operation is multiplication by ``multiplier(g, k, a)``, so it is
+    zero on every b exactly when C(a) is; C(a) is tested packed, without
+    being unpacked.
     """
-    unit = CoefficientClass.unit(g)
-    return WitnessResult(None if alpha(g, k, a, unit).is_zero() else unit)
+    if _packed_multiplier(g, k, a, pack_width(a.terms)):
+        return WitnessResult(CoefficientClass.unit(g))
+    return WitnessResult(None)

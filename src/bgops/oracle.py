@@ -253,18 +253,6 @@ class FiniteAction:
     proj: tuple[int, ...]
     q_proj: tuple[int, ...]
 
-    def check_axioms(self) -> None:
-        e = self.group.identity
-        for x in range(self.set_size):
-            if self.act[e][x] != x:
-                raise ValueError("identity does not act trivially")
-        for a in range(self.group.order):
-            for b in range(self.group.order):
-                ab = self.group.mul[a][b]
-                for x in range(self.set_size):
-                    if self.act[ab][x] != self.act[a][self.act[b][x]]:
-                        raise ValueError("action is not associative")
-
 
 def _point_map(point_ids: list[int], n: int, images: Sequence[Sequence[int]]) -> list[int]:
     """Index map of the point set range(n)^m, in ``itertools.product`` order.
@@ -410,29 +398,22 @@ def bar_boundary_chain(table: FiniteGroupTable, chain: BarChain) -> BarChain:
     return frozenset(acc)
 
 
-def cross_chains(
-    left: BarChain,
-    right: BarChain,
-    embed_left,
-    embed_right,
-) -> BarChain:
+def cross_chains(left: BarChain, right: BarChain) -> BarChain:
     """Homology cross product at chain level (shuffle interleavings)."""
     acc: set[tuple[int, ...]] = set()
     for u in left:
-        lu = [embed_left(g) for g in u]
         for v in right:
-            rv = [embed_right(g) for g in v]
-            p, q = len(lu), len(rv)
+            p, q = len(u), len(v)
             for spots in itertools.combinations(range(p + q), p):
                 spot_set = set(spots)
                 word = []
                 i = j = 0
                 for pos in range(p + q):
                     if pos in spot_set:
-                        word.append(lu[i])
+                        word.append(u[i])
                         i += 1
                     else:
-                        word.append(rv[j])
+                        word.append(v[j])
                         j += 1
                 acc ^= {tuple(word)}
     return frozenset(acc)
@@ -765,7 +746,7 @@ def bar_homology(
 
 def koszul_generators(k: int, degree: int) -> list[tuple[int, ...]]:
     """Divided-power monomials X1^[a1]...Xk^[ak] of total degree `degree`."""
-    return list(compositions(degree, k))
+    return compositions(degree, k)
 
 
 def koszul_boundary(
@@ -866,21 +847,6 @@ def transfer_map(
     return F2Matrix.from_columns(subspace.dim, columns)
 
 
-def induced_map(
-    table: FiniteGroupTable, sub_indices: Sequence[int], degree: int
-) -> F2Matrix:
-    """Matrix of the map induced by the inclusion of a subgroup."""
-    sub_table, embedding = table.subgroup(sub_indices)
-    ambient = bar_space(table, degree)
-    subspace = bar_space(sub_table, degree)
-    columns = [
-        # non-identity local letters embed to non-identity parent letters
-        ambient.class_coordinates(frozenset(tuple(embedding[g] for g in word) for word in rep))
-        for rep in subspace.rep_chains()
-    ]
-    return F2Matrix.from_columns(ambient.dim, columns)
-
-
 # ---------------------------------------------------------------------------
 # the orbit-sum evaluation of the operations for finite groups
 
@@ -907,7 +873,7 @@ def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) 
             chain: BarChain = frozenset({()})
             for block in blocks:
                 block_chain = frozenset({tuple(block)}) if block else frozenset({()})
-                chain = cross_chains(chain, block_chain, lambda x: x, lambda x: x)
+                chain = cross_chains(chain, block_chain)
             acc ^= set(chain)
     return frozenset(acc)
 

@@ -1,23 +1,33 @@
-"""Tuple routes that the packed products in ``src/`` replaced, kept as
-references for the tests.
+"""Routes that the library in ``src/`` replaced or no longer needs, kept
+as references for the tests.  Test modules import shared helpers from
+here only, never from each other.
 
-Every monomial here is an exponent tuple and every class a set of them;
-the library multiplies the same classes as packed ints (see
-``gradedalg.packed_product``).
+The tuple routes: every monomial is an exponent tuple and every class a
+set of them; the library multiplies the same classes as packed ints (see
+``gradedalg.packed_product``).  The GF(2) routes eliminate by rows, where
+the library inserts into a ``SpanSolver``.
 
-| library                               | reference                  |
-|---------------------------------------|----------------------------|
-| ``packed_product``, ``dp_multiply``   | ``monomial_product``       |
-| ``CoefficientClass.__mul__``          | ``product_by_tuples``      |
-| ``multiplier`` on products and tori   | ``multiplier_by_tuples``   |
-| ``alpha``                             | ``alpha_by_tuples``        |
-| ``composite_op``                      | ``composite_by_tuples``    |
+| library                                   | reference                                          |
+|-------------------------------------------|----------------------------------------------------|
+| ``packed_product``, ``dp_multiply``       | ``monomial_product``                               |
+| ``CoefficientClass.__mul__``              | ``product_by_tuples``                              |
+| ``multiplier`` on products and tori       | ``multiplier_by_tuples``                           |
+| ``alpha``                                 | ``alpha_by_tuples``                                |
+| ``composite_op``                          | ``composite_by_tuples``                            |
+| ``packed_compositions``, ``compositions`` | ``compositions``                                   |
+| ``SpanSolver``                            | ``_rref``, ``span_contains``                       |
+| ``f2_rank_kernel``                        | ``rref_kernel``, ``kernel_by_scanning_pivot_rows`` |
+| ``F2Matrix.columns``                      | ``column``                                         |
+| ``transfer_map`` (composed with it)       | ``induced_map``                                    |
+| ``cayley_action``                         | ``check_action_axioms``                            |
 """
 
 from __future__ import annotations
 
 import operator
 
+from bgops import oracle
+from bgops.f2core import F2Matrix, SpanSolver
 from bgops.gradedalg import DPClass, GeneratorSet, dp_coproduct
 from bgops.operations import (
     CoefficientClass,
@@ -25,6 +35,7 @@ from bgops.operations import (
     Torus,
     multiplier,
 )
+from bgops.oracle import FiniteAction, FiniteGroupTable
 from bgops.symhomology import term_is_decomposable
 
 
@@ -132,3 +143,143 @@ def composite_by_tuples(g, factors, b: CoefficientClass) -> CoefficientClass:
     for n, a in reversed(list(factors)):
         b = product_by_tuples(weight_multiplier_by_tuples(g, n, a), b)
     return b
+
+
+# ---------------------------------------------------------------------------
+# compositions
+
+
+def compositions(n: int, parts: int, minimum: int = 0):
+    """All tuples of ``parts`` integers >= minimum summing to n, in lex
+    order, by recursion on the first part."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    if parts == 1:
+        if n >= minimum:
+            yield (n,)
+        return
+    for first in range(minimum, n - minimum * (parts - 1) + 1):
+        for rest in compositions(n - first, parts - 1, minimum):
+            yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# GF(2) linear algebra by rows
+
+
+def _rref(work, cols):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The reference eliminator that ``SpanSolver`` is checked against.  The
+    next pivot column is the lowest bit set in any row not yet used,
+    found from the OR of those rows, and its row the first of them with
+    that bit: the columns in between are zero below the pivot rows.
+    """
+    pivots = []
+    n = len(work)
+    window = (1 << cols) - 1
+    r = 0
+    while r < n:
+        below = 0
+        for i in range(r, n):
+            below |= work[i]
+        below &= window
+        if not below:
+            break
+        bit = below & -below
+        piv = r
+        while not work[piv] & bit:
+            piv += 1
+        work[r], work[piv] = work[piv], work[r]
+        row = work[r]
+        for i in range(n):
+            if i != r and work[i] & bit:
+                work[i] ^= row
+        pivots.append(bit.bit_length() - 1)
+        r += 1
+    return work[:r], pivots
+
+
+def rref_kernel(m):
+    """Rank and reduced-echelon kernel basis of m from ``_rref``.
+
+    A reduced row is its pivot plus free columns: each one puts the pivot
+    into that free column's kernel vector, so the kernel is read off the
+    set bits of the pivot rows."""
+    rref, pivots = _rref(list(m.data), m.cols)
+    pivot_set = set(pivots)
+    kernel = {c: 1 << c for c in range(m.cols) if c not in pivot_set}
+    free = sum(kernel.values())
+    for row, p in zip(rref, pivots):
+        t = row & free
+        while t:
+            low = t & -t
+            kernel[low.bit_length() - 1] |= 1 << p
+            t ^= low
+    return len(pivots), tuple(kernel.values())
+
+
+def kernel_by_scanning_pivot_rows(m):
+    """``rref_kernel`` with every pivot row tested for every free column."""
+    rref, pivots = _rref(list(m.data), m.cols)
+    kernel = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = 1 << free
+        for row, p in zip(rref, pivots):
+            if (row >> free) & 1:
+                v |= 1 << p
+        kernel.append(v)
+    return len(pivots), tuple(kernel)
+
+
+def column(m: F2Matrix, j: int) -> int:
+    """Column j of m as a bitmask over row indices, one row at a time."""
+    out = 0
+    for i, r in enumerate(m.data):
+        if (r >> j) & 1:
+            out |= 1 << i
+    return out
+
+
+def span_contains(solver: SpanSolver, v: int) -> bool:
+    """Whether v lies in the span of the vectors inserted into ``solver``."""
+    return solver.coordinates(v) is not None
+
+
+# ---------------------------------------------------------------------------
+# the oracle's group actions and bar complexes
+
+
+def check_action_axioms(action: FiniteAction) -> None:
+    """Raise ValueError unless the identity fixes every point and
+    (ab).x = a.(b.x) for every a, b and x."""
+    e = action.group.identity
+    for x in range(action.set_size):
+        if action.act[e][x] != x:
+            raise ValueError("identity does not act trivially")
+    for a in range(action.group.order):
+        for b in range(action.group.order):
+            ab = action.group.mul[a][b]
+            for x in range(action.set_size):
+                if action.act[ab][x] != action.act[a][action.act[b][x]]:
+                    raise ValueError("action is not associative")
+
+
+def induced_map(table: FiniteGroupTable, sub_indices, degree: int) -> F2Matrix:
+    """Matrix of the map induced on H_degree by the inclusion of a subgroup;
+    after ``transfer_map`` it is multiplication by the index.  The spaces
+    come from ``oracle.bar_space`` as looked up at call time, so a test
+    that replaces it serves both maps."""
+    sub_table, embedding = table.subgroup(sub_indices)
+    ambient = oracle.bar_space(table, degree)
+    subspace = oracle.bar_space(sub_table, degree)
+    columns = [
+        # non-identity local letters embed to non-identity parent letters
+        ambient.class_coordinates(frozenset(tuple(embedding[g] for g in word) for word in rep))
+        for rep in subspace.rep_chains()
+    ]
+    return F2Matrix.from_columns(ambient.dim, columns)

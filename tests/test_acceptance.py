@@ -251,7 +251,7 @@ def test_criterion_13_gl_invariance():
         for b in b_choices:
             base = alpha(Z2, 2, a, b)
             for g in matrices:
-                assert alpha(Z2, 2, linear_push(g, a, v2), b) == base, (exps, g.data)
+                assert alpha(Z2, 2, linear_push(g, a), b) == base, (exps, g.data)
     _report(13, "GL_2(F2) invariance of the rank-2 operation input")
 
 

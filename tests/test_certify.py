@@ -12,7 +12,7 @@ from bgops.certify import (
     example_family,
     stable_image,
 )
-from bgops.gradedalg import DPClass, GeneratorSet
+from bgops.gradedalg import DPClass, GeneratorSet, dp_multiply
 from bgops.operations import (
     CoefficientClass,
     Dihedral,
@@ -22,7 +22,6 @@ from bgops.operations import (
     Z2Power,
     coefficient_basis,
     composite_op,
-    dp_multiply,
     make_product,
 )
 from bgops.symhomology import CircWord, SymClass

@@ -11,39 +11,7 @@ from bgops.f2core import (
     f2_rank_kernel,
     multinomial_parity,
 )
-
-
-def _rref(work, cols):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    The reference eliminator that ``SpanSolver`` is checked against.  The
-    next pivot column is the lowest bit set in any row not yet used,
-    found from the OR of those rows, and its row the first of them with
-    that bit: the columns in between are zero below the pivot rows.
-    """
-    pivots = []
-    n = len(work)
-    window = (1 << cols) - 1
-    r = 0
-    while r < n:
-        below = 0
-        for i in range(r, n):
-            below |= work[i]
-        below &= window
-        if not below:
-            break
-        bit = below & -below
-        piv = r
-        while not work[piv] & bit:
-            piv += 1
-        work[r], work[piv] = work[piv], work[r]
-        row = work[r]
-        for i in range(n):
-            if i != r and work[i] & bit:
-                work[i] ^= row
-        pivots.append(bit.bit_length() - 1)
-        r += 1
-    return work[:r], pivots
+from references import _rref, column, kernel_by_scanning_pivot_rows, rref_kernel, span_contains
 
 
 def pascal_mod2_table(limit):
@@ -113,7 +81,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(11)
     for size in (10, 50, 200):
         m = F2Matrix(size, size, tuple(rng.getrandbits(size) for _ in range(size)))
-        transpose = F2Matrix(size, size, tuple(m.column(j) for j in range(size)))
+        transpose = F2Matrix(size, size, tuple(column(m, j) for j in range(size)))
         assert m.rank() == transpose.rank()
 
 
@@ -191,7 +159,7 @@ def test_span_solver_matches_rref(case):
     assert solver.rank == len(_rref(list(vectors), width)[0])
     for v in list(vectors) + probes:
         member = len(_rref(list(vectors) + [v], width)[0]) == solver.rank
-        assert solver.contains(v) == member
+        assert span_contains(solver, v) == member
         combo = solver.coordinates(v)
         assert combo == reference.coordinates(v)
         assert (combo is not None) == member
@@ -238,7 +206,7 @@ def test_column_relations_are_the_rref_kernel(case):
     cols, data = case
     m = F2Matrix(len(data), cols, tuple(data))
     solver = SpanSolver()
-    relations = [solver.add_relation(m.column(j)) for j in range(cols)]
+    relations = [solver.add_relation(column(m, j)) for j in range(cols)]
     rank, kernel = rref_kernel(m)
     assert tuple(r for r in relations if r) == kernel
     assert solver.rank == rank
@@ -268,40 +236,6 @@ def test_modulo_vectors_get_no_coordinate(case):
     assert solver.rank == full.rank
     for v in list(vectors) + probes:
         assert solver.coordinates(v) == projected.coordinates(v)
-
-
-def rref_kernel(m):
-    """Rank and reduced-echelon kernel basis of m from ``_rref``.
-
-    A reduced row is its pivot plus free columns: each one puts the pivot
-    into that free column's kernel vector, so the kernel is read off the
-    set bits of the pivot rows."""
-    rref, pivots = _rref(list(m.data), m.cols)
-    pivot_set = set(pivots)
-    kernel = {c: 1 << c for c in range(m.cols) if c not in pivot_set}
-    free = sum(kernel.values())
-    for row, p in zip(rref, pivots):
-        t = row & free
-        while t:
-            low = t & -t
-            kernel[low.bit_length() - 1] |= 1 << p
-            t ^= low
-    return len(pivots), tuple(kernel.values())
-
-
-def kernel_by_scanning_pivot_rows(m):
-    """``rref_kernel`` with every pivot row tested for every free column."""
-    rref, pivots = _rref(list(m.data), m.cols)
-    kernel = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for row, p in zip(rref, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return len(pivots), tuple(kernel)
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,7 +268,7 @@ def test_rank_kernel_matches_pivot_row_scan_on_random_matrices():
 
 def test_columns_and_from_columns_are_the_hand_transpose():
     for m in random_matrices(17, 100, 40):
-        columns = [m.column(j) for j in range(m.cols)]
+        columns = [column(m, j) for j in range(m.cols)]
         assert m.columns() == columns
         assert F2Matrix.from_columns(m.rows, columns) == m
         rows = [0] * m.rows

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgops import gradedalg
 from bgops.f2core import F2Matrix
 from bgops.gradedalg import (
     DPClass,
     GeneratorMismatchError,
     GeneratorSet,
     beta_push,
-    compositions,
     dp_coproduct,
     dp_multiply,
     linear_push,
@@ -21,7 +21,7 @@ from bgops.gradedalg import (
     su2_act,
     unpack_monomials,
 )
-from references import monomial_product
+from references import column, compositions, monomial_product
 
 G1 = GeneratorSet.v_basis(1)
 G2 = GeneratorSet.v_basis(2)
@@ -186,7 +186,7 @@ def linear_push_by_tuples(k_matrix, a):
     exponent tuples, multiplied by ``monomial_product``."""
     l = k_matrix.rows
     target = GeneratorSet.z2_basis(l) if l > 0 else GeneratorSet((), ())
-    columns = [k_matrix.column(j) for j in range(len(a.gens))]
+    columns = [column(k_matrix, j) for j in range(len(a.gens))]
     acc = set()
     for mono in a.terms:
         partial = {(0,) * l}
@@ -215,7 +215,7 @@ def pushes(draw):
     k = draw(st.integers(0, 4))
     rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=l, max_size=l))
     matrix = F2Matrix(l, k, tuple(rows))
-    weights = [matrix.column(j).bit_count() for j in range(k)]
+    weights = [column(matrix, j).bit_count() for j in range(k)]
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         work, mono = 1, []
@@ -275,6 +275,8 @@ def test_packed_compositions_match_compositions(minimum):
             unpacked = [tuple((p >> s) & ((1 << width) - 1) for s in shifts) for p in packed]
             assert len(set(packed)) == len(packed)
             assert sorted(unpacked) == list(compositions(n, len(shifts), minimum)), (shifts, n)
+            if minimum == 0:
+                assert gradedalg.compositions(n, len(shifts)) == sorted(unpacked), (shifts, n)
             assert all(p == sum(e << s for e, s in zip(u, shifts)) for p, u in zip(packed, unpacked))
 
 

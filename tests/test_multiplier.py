@@ -19,7 +19,6 @@ from bgops.gradedalg import (
     DPClass,
     GeneratorSet,
     beta_push,
-    compositions,
     dp_coproduct,
     dp_multiply,
     su2_act,
@@ -46,6 +45,7 @@ from bgops.symhomology import CircWord, SymClass
 from references import (
     alpha_by_tuples,
     composite_by_tuples,
+    compositions,
     multiplier_by_tuples,
     product_by_tuples,
 )
@@ -145,7 +145,7 @@ def circle_by_halving(mono: tuple[int, ...]) -> set:
             return set()
         top = n1 + n2 + 3
     lifted = DPClass.monomial(GeneratorSet.v_basis(1), (top,))
-    return {(t,) for t in beta_push(lifted, GeneratorSet.torus_basis(1)).terms}
+    return {(t,) for t in beta_push(lifted).terms}
 
 
 def su2_by_action(mono: tuple[int, ...]) -> set:
