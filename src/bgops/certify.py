@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .operations import (
     CoefficientClass,
@@ -68,20 +68,13 @@ class StabilityInfo:
     vanishing_bound: tuple[int, int] | None = None
 
     def to_json(self) -> dict:
+        image, bound = self.stable_image, self.vanishing_bound
         return {
             "stable": self.stable,
             "not_in_stabilization_image": self.not_in_stabilization_image,
             "unstable": self.unstable,
-            "stable_image": (
-                None
-                if self.stable_image is None
-                else {"class": self.stable_image[0].to_json(), "L": self.stable_image[1]}
-            ),
-            "vanishing_bound": (
-                None
-                if self.vanishing_bound is None
-                else {"degree": self.vanishing_bound[0], "rank": self.vanishing_bound[1]}
-            ),
+            "stable_image": None if image is None else {"class": image[0].to_json(), "L": image[1]},
+            "vanishing_bound": None if bound is None else {"degree": bound[0], "rank": bound[1]},
         }
 
 
@@ -107,16 +100,12 @@ def _check_hypothesis(target: Target, group: GroupDescriptor) -> None:
     # HolOrdinary accepts every supported compact group
 
 
-def _certificate_degree(target: Target, class_degree: int) -> int:
-    return class_degree - 1 if target is Target.AUT_TWISTED else class_degree
+def _class_degree(factors: Sequence[tuple[int, SymClass]]) -> int:
+    return sum(a.homogeneous_degree() for _, a in factors)
 
 
-def _stability_for(
-    target: Target,
-    factors: Sequence[tuple[int, SymClass]],
-    class_degree: int,
-) -> StabilityInfo:
-    u = class_degree
+def _stability_for(target: Target, factors: Sequence[tuple[int, SymClass]]) -> StabilityInfo:
+    u = _class_degree(factors)
     positive = u > 0
     if target is Target.HOL_ORDINARY:
         image, offset = stable_image(factors, u)
@@ -159,34 +148,54 @@ def _stability_for(
     )
 
 
+def factors_to_json(factors: Sequence[tuple[int, SymClass]]) -> list[dict]:
+    return [{"n": n, "a": a.to_json()} for n, a in factors]
+
+
+def factors_from_json(docs) -> tuple[tuple[int, SymClass], ...]:
+    """Inverse of ``factors_to_json``; a document of another shape raises
+    ValueError naming the expected one."""
+    if not isinstance(docs, list) or not all(
+        isinstance(f, Mapping) and isinstance(f.get("n"), int) and "a" in f for f in docs
+    ):
+        raise ValueError('expected a factor list of the shape [{"n": N, "a": CLASS}, ...]')
+    return tuple((f["n"], SymClass.from_json(f["a"])) for f in docs)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A nonvanishing record for one target group family.
 
-    ``degree`` is the homology degree of the certified class in the
-    target at rank N; the witness packages the coefficient group, the
-    operation factors, the coefficient class and the nonzero value.
+    The witness packages the coefficient group, the operation factors,
+    the coefficient class and the nonzero value.  The rank N, the
+    homology degree of the certified class in the target at rank N and
+    the stability metadata are derived from the target and the factors.
     """
 
     target: Target
     group: GroupDescriptor
     factors: tuple[tuple[int, SymClass], ...]
-    rank: int
-    degree: int
     coefficient: CoefficientClass
     output: CoefficientClass
-    stability: StabilityInfo
     shift_convention_note: str = SHIFT_CONVENTION_NOTE
 
     def __post_init__(self) -> None:
-        if self.rank != sum(n - 1 for n, _ in self.factors):
-            raise ValueError("rank must equal the sum of (n_i - 1)")
-        class_degree = sum(a.homogeneous_degree() for _, a in self.factors)
-        if self.degree != _certificate_degree(self.target, class_degree):
-            raise ValueError("certificate degree does not match the factor degrees")
         if self.output.is_zero():
             raise ValueError("certificate output must be nonzero")
         _check_hypothesis(self.target, self.group)
+
+    @property
+    def rank(self) -> int:
+        return sum(n - 1 for n, _ in self.factors)
+
+    @property
+    def degree(self) -> int:
+        class_degree = _class_degree(self.factors)
+        return class_degree - 1 if self.target is Target.AUT_TWISTED else class_degree
+
+    @property
+    def stability(self) -> StabilityInfo:
+        return _stability_for(self.target, self.factors)
 
     def revalidate(self) -> bool:
         """Re-run the witness evaluation; certificates must reproduce."""
@@ -201,7 +210,7 @@ class Certificate:
             "degree": self.degree,
             "witness": {
                 "group": format_group(self.group),
-                "factors": [{"n": n, "a": a.to_json()} for n, a in self.factors],
+                "factors": factors_to_json(self.factors),
                 "coefficient": self.coefficient.to_json(),
                 "output": self.output.to_json(),
             },
@@ -211,43 +220,34 @@ class Certificate:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Certificate":
-        """Parse a v1 certificate document; unknown fields are ignored."""
+        """Parse a v1 certificate document; unknown fields are ignored.
+
+        N, degree and stability are re-derived from the target and the
+        factors, and a document that states other values raises ValueError.
+        """
         if doc.get("version") != "v1":
             raise ValueError("unsupported certificate version")
         witness = doc["witness"]
         group = parse_group(witness["group"])
-        factors = tuple(
-            (int(f["n"]), SymClass.from_json(f["a"])) for f in witness["factors"]
-        )
-        stability_doc = doc["stability"]
-        stable_image_doc = stability_doc.get("stable_image")
-        vanishing_doc = stability_doc.get("vanishing_bound")
-        stability = StabilityInfo(
-            stable=bool(stability_doc["stable"]),
-            not_in_stabilization_image=bool(stability_doc["not_in_stabilization_image"]),
-            unstable=bool(stability_doc["unstable"]),
-            stable_image=(
-                None
-                if stable_image_doc is None
-                else (SymClass.from_json(stable_image_doc["class"]), int(stable_image_doc["L"]))
-            ),
-            vanishing_bound=(
-                None
-                if vanishing_doc is None
-                else (int(vanishing_doc["degree"]), int(vanishing_doc["rank"]))
-            ),
-        )
-        return cls(
+        cert = cls(
             target=Target(doc["target"]),
             group=group,
-            factors=factors,
-            rank=int(doc["N"]),
-            degree=int(doc["degree"]),
+            factors=factors_from_json(witness["factors"]),
             coefficient=CoefficientClass.from_json(group, witness["coefficient"]),
             output=CoefficientClass.from_json(group, witness["output"]),
-            stability=stability,
             shift_convention_note=str(doc.get("shift_convention_note", SHIFT_CONVENTION_NOTE)),
         )
+        derived = cert.to_json()
+        stated = doc.get("stability")
+        if isinstance(stated, Mapping):  # unknown stability fields are ignored too
+            stated = {key: stated.get(key) for key in derived["stability"]}
+        claims = {"N": doc.get("N"), "degree": doc.get("degree"), "stability": stated}
+        for key, value in claims.items():
+            if value != derived[key]:
+                raise ValueError(
+                    f"{key} is {value!r}, but the target and factors give {derived[key]!r}"
+                )
+        return cert
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ class FailureReport:
     target: Target
     group: GroupDescriptor
     factors: tuple[tuple[int, SymClass], ...]
-    reason: str = "the composite vanishes on the unit class, hence on every class"
+    reason: ClassVar[str] = "the composite vanishes on the unit class, hence on every class"
 
     def to_json(self) -> dict:
         return {
@@ -266,7 +266,7 @@ class FailureReport:
             "failure": True,
             "reason": self.reason,
             "group": format_group(self.group),
-            "factors": [{"n": n, "a": a.to_json()} for n, a in self.factors],
+            "factors": factors_to_json(self.factors),
         }
 
 
@@ -289,27 +289,7 @@ def build_certificate(
     value = composite_op(group, factors, CoefficientClass.unit(group))
     if value.is_zero():
         return FailureReport(target, group, factors)
-    return _certificate(target, group, factors, value)
-
-
-def _certificate(
-    target: Target,
-    group: GroupDescriptor,
-    factors: tuple[tuple[int, SymClass], ...],
-    value: CoefficientClass,
-) -> Certificate:
-    """Package the nonzero value of the composite on the unit class."""
-    class_degree = sum(a.homogeneous_degree() for _, a in factors)
-    return Certificate(
-        target=target,
-        group=group,
-        factors=factors,
-        rank=sum(n - 1 for n, _ in factors),
-        degree=_certificate_degree(target, class_degree),
-        coefficient=CoefficientClass.unit(group),
-        output=value,
-        stability=_stability_for(target, factors, class_degree),
-    )
+    return Certificate(target, group, factors, CoefficientClass.unit(group), value)
 
 
 def stable_image(
@@ -339,8 +319,12 @@ class CertificateBundle:
 
     u: tuple[int, ...]
     assignment: tuple[int, ...]
-    rank: int
     certificates: dict[Target, Certificate] = field(default_factory=dict)
+
+    @property
+    def rank(self) -> int:
+        """N = sum(n_i - 1), where group i of the assignment has arity 2^(its size)."""
+        return sum((1 << self.assignment.count(i)) - 1 for i in set(self.assignment))
 
     def to_json(self) -> dict:
         return {
@@ -387,9 +371,9 @@ def example_family(u: Sequence[int], assignment: Sequence[int]) -> CertificateBu
     factors = tuple(factors)
 
     group = Z2Power(1)
-    value = composite_op(group, factors, CoefficientClass.unit(group))
+    unit = CoefficientClass.unit(group)
+    value = composite_op(group, factors, unit)
     if value.is_zero():  # pragma: no cover - the family always certifies
         raise AssertionError("example family unexpectedly evaluated to zero")
-    rank = sum(n - 1 for n, _ in factors)
-    certificates = {target: _certificate(target, group, factors, value) for target in Target}
-    return CertificateBundle(u, assignment, rank, certificates)
+    certificates = {target: Certificate(target, group, factors, unit, value) for target in Target}
+    return CertificateBundle(u, assignment, certificates)

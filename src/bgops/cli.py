@@ -21,6 +21,7 @@ from .certify import (
     Target,
     build_certificate,
     example_family,
+    factors_from_json,
     stable_image,
 )
 from .gradedalg import DPClass, GeneratorSet
@@ -77,13 +78,17 @@ def _load_doc(doc: dict, arg: str | None, key: str, what: str):
 
 
 def _input_dp_class(doc, k: int) -> DPClass:
-    """A class over the rank-k source, from full JSON or a bare exponent list."""
+    """A class over the rank-k source, from full JSON, exponents or a list of them."""
     if isinstance(doc, dict):
         return DPClass.from_json(doc)
     gens = GeneratorSet.v_basis(k)
-    if doc and isinstance(doc[0], (list, tuple)):
+    if isinstance(doc, list) and doc and all(isinstance(t, list) for t in doc):
         return DPClass.from_terms(gens, [tuple(t) for t in doc])
-    return DPClass.monomial(gens, tuple(doc))
+    if isinstance(doc, list) and all(isinstance(e, int) for e in doc):
+        return DPClass.monomial(gens, tuple(doc))
+    raise ValueError(
+        f"expected a source class of the shape [E, ...], [[E, ...], ...] or {DPClass.JSON_SHAPE}"
+    )
 
 
 def _emit(args, human: str, doc) -> None:
@@ -116,8 +121,7 @@ def _cmd_phi(args) -> int:
 def _cmd_compose(args) -> int:
     group = parse_group(args.group)
     doc = _input_document(args)
-    docs = _load_doc(doc, args.factors, "factors", "the factor list")
-    factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
+    factors = factors_from_json(_load_doc(doc, args.factors, "factors", "the factor list"))
     b = CoefficientClass.from_json(group, _load_doc(doc, args.b, "b", "the coefficient class"))
     value = composite_op(group, factors, b)
     _emit(args, str(value), {"result": value.to_json(), "zero": value.is_zero()})
@@ -150,8 +154,7 @@ def _cmd_witness(args) -> int:
 def _cmd_certify(args) -> int:
     group = parse_group(args.group)
     docs = _load_doc(_input_document(args), args.factors, "factors", "the factor list")
-    factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
-    result = build_certificate(Target(args.target), group, factors)
+    result = build_certificate(Target(args.target), group, factors_from_json(docs))
     if isinstance(result, FailureReport):
         _emit(args, f"failure: {result.reason}", result.to_json())
         return EXIT_ZERO
@@ -178,8 +181,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_stable_image(args) -> int:
     docs = _load_doc(_input_document(args), args.factors, "factors", "the factor list")
-    factors = [(int(f["n"]), SymClass.from_json(f["a"])) for f in docs]
-    image, offset = stable_image(factors, args.k_degree)
+    image, offset = stable_image(factors_from_json(docs), args.k_degree)
     _emit(
         args,
         f"stable image {image} with offset L = {offset}",

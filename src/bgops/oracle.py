@@ -47,29 +47,33 @@ class SizeBoundError(ValueError):
 class FiniteGroupTable:
     """Multiplication table of a finite group on indices 0..order-1.
 
-    ``mul[a][b]`` is the product a*b.  Group laws are verified at
+    ``mul[a][b]`` is the product a*b, and the order is ``len(mul)``.  A
+    table that is not square or has an entry outside 0..order-1 raises
+    ValueError.  Inverses are computed and the group laws verified at
     construction, for every order (see ``check_laws``), which also keeps
     the generators its test picks as ``generators``.
     """
 
-    order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
     kind: str = "generic"
     params: tuple = ()
-    inv: tuple[int, ...] = field(default=())
+    inv: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     generators: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.inv:
-            self.inv = tuple(self._find_inverse(a) for a in range(self.order))
+        n = self.order
+        in_range = all(len(row) == n and min(row) >= 0 and max(row) < n for row in self.mul)
+        if not in_range or not 0 <= self.identity < n:
+            raise ValueError(f"expected a square table with entries and identity in 0..{n - 1}")
+        if any(self.identity not in row for row in self.mul):
+            raise ValueError("an element has no inverse")
+        self.inv = tuple(row.index(self.identity) for row in self.mul)
         self.check_laws()
 
-    def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.mul[a][b] == self.identity:
-                return b
-        raise ValueError(f"element {a} has no inverse")
+    @property
+    def order(self) -> int:
+        return len(self.mul)
 
     def check_laws(self) -> None:
         """Verify the identity, inverse and associative laws.
@@ -127,11 +131,11 @@ class FiniteGroupTable:
 
     @classmethod
     def trivial(cls) -> "FiniteGroupTable":
-        return cls(1, ((0,),), 0, kind="trivial")
+        return cls(((0,),), 0, kind="trivial")
 
     @classmethod
     def z2(cls) -> "FiniteGroupTable":
-        return cls(2, ((0, 1), (1, 0)), 0, kind="z2")
+        return cls.elementary_abelian(1)
 
     @classmethod
     def elementary_abelian(cls, k: int) -> "FiniteGroupTable":
@@ -140,7 +144,7 @@ class FiniteGroupTable:
             raise ValueError("rank must be non-negative")
         n = 1 << k
         mul = tuple(tuple(a ^ b for b in range(n)) for a in range(n))
-        return cls(n, mul, 0, kind="elementary_abelian", params=(k,))
+        return cls(mul, 0, kind="elementary_abelian", params=(k,))
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroupTable":
@@ -162,7 +166,7 @@ class FiniteGroupTable:
                 # (r^i s^j)(r^p s^q) = r^(i + (-1)^j p) s^(j+q)
                 row.append(idx(i + (p if j == 0 else -p), j + q))
             mul_rows.append(tuple(row))
-        return cls(order, tuple(mul_rows), 0, kind="dihedral", params=(n,))
+        return cls(tuple(mul_rows), 0, kind="dihedral", params=(n,))
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroupTable":
@@ -177,7 +181,7 @@ class FiniteGroupTable:
             for q in perms:
                 row.append(index[tuple(p[q[i]] for i in range(n))])
             mul_rows.append(tuple(row))
-        return cls(len(perms), tuple(mul_rows), index[tuple(range(n))], kind="symmetric", params=(n,))
+        return cls(tuple(mul_rows), index[tuple(range(n))], kind="symmetric", params=(n,))
 
     @classmethod
     def product(cls, a: "FiniteGroupTable", b: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -192,13 +196,7 @@ class FiniteGroupTable:
                     for y2 in range(b.order):
                         row.append(arow * nb + b.mul[y1][y2])
                 mul_rows.append(tuple(row))
-        return cls(
-            a.order * b.order,
-            tuple(mul_rows),
-            a.identity * nb + b.identity,
-            kind="product",
-            params=(a, b),
-        )
+        return cls(tuple(mul_rows), a.identity * nb + b.identity, kind="product", params=(a, b))
 
     def subgroup(self, indices: Sequence[int]) -> tuple["FiniteGroupTable", tuple[int, ...]]:
         """Subgroup on the given element indices; returns (table, embedding).
@@ -219,12 +217,12 @@ class FiniteGroupTable:
                 row.append(local[p])
             mul_rows.append(tuple(row))
         return (
-            FiniteGroupTable(len(emb), tuple(mul_rows), local[self.identity], kind="subgroup"),
+            FiniteGroupTable(tuple(mul_rows), local[self.identity], kind="subgroup"),
             emb,
         )
 
     def descriptor(self) -> GroupDescriptor:
-        if self.kind == "z2":
+        if self.kind == "elementary_abelian" and self.params == (1,):
             return Z2Power(1)
         if self.kind == "dihedral":
             return Dihedral(self.params[0])
@@ -749,14 +747,15 @@ def koszul_generators(k: int, degree: int) -> list[tuple[int, ...]]:
     return compositions(degree, k)
 
 
+@lru_cache(maxsize=None)
 def koszul_boundary(
     k: int, gen: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], int]]:
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Boundary of a generator: pairs (lower generator, group-ring mask).
 
     The coefficient of the i-th term is t_i = 1 + x_i, encoded as a mask
     over element indices of the rank-k group (element = coordinate
-    bitmask).
+    bitmask).  Cached: one small tuple per generator asked for.
     """
     out = []
     for i in range(k):
@@ -764,7 +763,7 @@ def koszul_boundary(
             lower = gen[:i] + (gen[i] - 1,) + gen[i + 1 :]
             mask = (1 << 0) | (1 << (1 << i))
             out.append((lower, mask))
-    return out
+    return tuple(out)
 
 
 def groupring_multiply(k: int, a_mask: int, b_mask: int) -> int:
@@ -879,12 +878,9 @@ def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) 
 
 
 def _dihedral_s(g_table: FiniteGroupTable) -> int:
-    if g_table.kind == "z2":
-        return 1
-    if g_table.kind == "dihedral":
-        n = g_table.params[0]
-        return 2 * n + 1
-    raise ValueError("expected a z2 or dihedral table")
+    """The reflection: index 1 of Z/2, index 2n + 1 of the table of D_{4n+2}."""
+    descriptor = g_table.descriptor()
+    return 2 * descriptor.n + 1 if isinstance(descriptor, Dihedral) else 1
 
 
 @dataclass(frozen=True)
@@ -909,7 +905,7 @@ def _orbit_plan(mul: tuple[tuple[int, ...], ...], identity: int, k: int) -> Orbi
     propagates and caches nothing.  ``SIZE_BOUND`` leaves few feasible
     (G, k), so the cache stays small.
     """
-    action = cayley_action(FiniteGroupTable(len(mul), mul, identity), k)
+    action = cayley_action(FiniteGroupTable(mul, identity), k)
     steps = []
     for orbit in action_orbits(action):
         if orbit.image_index % 2 == 0:

@@ -182,13 +182,22 @@ class SymClass:
             docs.append(doc)
         return docs
 
+    JSON_SHAPE = '[{"gens": [[I, ...], ...], "circ": [[S, ...], ...]}, ...]'
+
     @classmethod
     def from_json(cls, docs: Sequence[Mapping]) -> "SymClass":
-        terms = []
-        for doc in docs:
-            words = [CircWord.from_chain(ch) for ch in doc.get("gens", ())]
-            words += [CircWord(tuple(sorted(int(m) for m in w))) for w in doc.get("circ", ())]
-            terms.append(words)
+        """Inverse of ``to_json``; a document of another shape raises
+        ValueError naming the expected one."""
+        if not isinstance(docs, list) or not all(isinstance(doc, Mapping) for doc in docs):
+            raise ValueError(f"expected a class of the shape {cls.JSON_SHAPE}")
+        try:
+            terms = [
+                [CircWord.from_chain(ch) for ch in doc.get("gens", ())]
+                + [CircWord(tuple(sorted(int(m) for m in w))) for w in doc.get("circ", ())]
+                for doc in docs
+            ]
+        except TypeError as exc:
+            raise ValueError(f"expected a class of the shape {cls.JSON_SHAPE} ({exc})") from None
         return cls.from_terms(terms)
 
     def __str__(self) -> str:

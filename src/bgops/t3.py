@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .f2core import F2Matrix, homology_dims
-from .oracle import koszul_check_differential
+from .oracle import koszul_boundary, koszul_check_differential
 
 V2_ELEMENTS = (0, 1, 2, 3)
 
@@ -94,15 +94,24 @@ def act(q: int, g: int, vec: int) -> int:
     return out
 
 
-# t_action and _cellular_boundary are cached on (degree, [i,] vector); a
-# vector has at most 12 bits, so the caches stay small however many
+# ring_action and _cellular_boundary are cached on (degree, [mask,] vector);
+# a vector has at most 12 bits, so the caches stay small however many
 # chains pass through them
 
 
 @lru_cache(maxsize=None)
+def ring_action(q: int, mask: int, vec: int) -> int:
+    """Multiplication by the group-ring element with support ``mask``."""
+    out = 0
+    for g in V2_ELEMENTS:
+        if mask >> g & 1:
+            out ^= act(q, g, vec)
+    return out
+
+
 def t_action(q: int, i: int, vec: int) -> int:
     """Multiplication by t_i = 1 + x_i on a degree-q chain vector."""
-    return vec ^ act(q, i, vec)
+    return ring_action(q, 1 | 1 << i, vec)
 
 
 def _vec(q: int, cells: list[tuple]) -> int:
@@ -169,9 +178,10 @@ TotalChain = dict[tuple[int, int, int], int]
 def total_boundary(chain: TotalChain) -> TotalChain:
     """Boundary in the total complex of (resolution) tensor (cells).
 
-    The resolution differential sends X1^[k1] X2^[k2] to
-    t_1 X1^[k1-1] X2^[k2] + t_2 X1^[k1] X2^[k2-1]; the group-ring
-    coefficients t_i act on the cellular side of the tensor product.
+    The resolution differential is ``oracle.koszul_boundary`` at rank 2:
+    it sends X1^[k1] X2^[k2] to t_1 X1^[k1-1] X2^[k2] + t_2 X1^[k1] X2^[k2-1],
+    and its group-ring coefficients act on the cellular side of the
+    tensor product.
     """
     out: TotalChain = {}
 
@@ -185,10 +195,8 @@ def total_boundary(chain: TotalChain) -> TotalChain:
             out.pop(key, None)
 
     for (k1, k2, q), vec in chain.items():
-        if k1 > 0:
-            toggle((k1 - 1, k2, q), t_action(q, 1, vec))
-        if k2 > 0:
-            toggle((k1, k2 - 1, q), t_action(q, 2, vec))
+        for (j1, j2), mask in koszul_boundary(2, (k1, k2)):
+            toggle((j1, j2, q), ring_action(q, mask, vec))
         if q > 0:
             toggle((k1, k2, q - 1), _cellular_boundary(q, vec))
     return out

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bgops.certify import (
     Certificate,
@@ -10,6 +14,8 @@ from bgops.certify import (
     Target,
     build_certificate,
     example_family,
+    factors_from_json,
+    factors_to_json,
     stable_image,
 )
 from bgops.gradedalg import DPClass, GeneratorSet, dp_multiply
@@ -235,3 +241,135 @@ def test_product_group_certificate():
     cert = build_certificate(Target.AFF_F2, group, [(2, E[3])])
     assert isinstance(cert, Certificate)
     assert cert.revalidate()
+
+
+# ---------------------------------------------------------------------------
+# N, degree and stability are derived from the target and the factors
+
+
+def test_rank_degree_and_stability_are_derived_not_stored():
+    assert [f.name for f in dataclasses.fields(Certificate)] == [
+        "target", "group", "factors", "coefficient", "output", "shift_convention_note",
+    ]
+    for name in ("rank", "degree", "stability"):
+        assert isinstance(vars(Certificate)[name], property), name
+    assert [f.name for f in dataclasses.fields(CertificateBundle)] == [
+        "u", "assignment", "certificates",
+    ]
+    assert [f.name for f in dataclasses.fields(FailureReport)] == ["target", "group", "factors"]
+
+
+def test_from_json_rejects_metadata_the_target_and_factors_do_not_give():
+    # an AutTwisted class is unstable; a document claiming that it is
+    # stable, with no vanishing bound, is refused
+    cert = build_certificate(Target.AUT_TWISTED, Z2, [(2, E[3])])
+    doc = cert.to_json()
+    assert Certificate.from_json(json.loads(json.dumps(doc))) == cert
+    forged = copy.deepcopy(doc)
+    forged["stability"].update(stable=True, unstable=False, vanishing_bound=None)
+    with pytest.raises(ValueError, match="stability is .*, but the target and factors give"):
+        Certificate.from_json(forged)
+    for key, value, message in [
+        ("N", 2, "N is 2, but the target and factors give 1"),
+        ("degree", 3, "degree is 3, but the target and factors give 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Certificate.from_json({**doc, key: value})
+    stable = build_certificate(Target.HOL_ORDINARY, Z2, [(2, E[3])]).to_json()
+    stable["stability"]["stable_image"]["L"] += 1
+    with pytest.raises(ValueError, match="stability is "):
+        Certificate.from_json(stable)
+    with pytest.raises(ValueError, match="stability is \\[True\\], but"):
+        Certificate.from_json({**doc, "stability": [True]})
+    # unknown stability fields are ignored, as unknown fields are elsewhere
+    extended = copy.deepcopy(doc)
+    extended["stability"]["note"] = "ignored"
+    assert Certificate.from_json(extended) == cert
+
+
+MALFORMED_FACTORS = [[{"m": 2}], {"n": 2}, [[2]], [{"n": 2}], [{"n": 2.5, "a": []}], 2, "[]"]
+
+
+@pytest.mark.parametrize("docs", MALFORMED_FACTORS)
+def test_malformed_factor_lists_name_the_expected_shape(docs):
+    with pytest.raises(ValueError, match=r"expected a factor list of the shape \[\{"):
+        factors_from_json(docs)
+    doc = build_certificate(Target.HOL_ORDINARY, Z2, [(2, E[1])]).to_json()
+    doc["witness"]["factors"] = docs
+    with pytest.raises(ValueError, match="expected a factor list"):
+        Certificate.from_json(doc)
+
+
+def test_factor_lists_round_trip():
+    factors = ((2, E[1]), (4, SymClass.single(CircWord.of(1, 2))), (1, ONE_WORD))
+    docs = factors_to_json(factors)
+    assert docs == [{"n": n, "a": a.to_json()} for n, a in factors]
+    assert factors_from_json(json.loads(json.dumps(docs))) == factors
+
+
+@st.composite
+def family_inputs(draw):
+    """Bit-disjoint u and a surjective grouping, as ``example_family`` takes them."""
+    bits = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+    owner = draw(st.lists(st.integers(0, len(bits) - 1), min_size=len(bits), max_size=len(bits)))
+    u = [sum(1 << b for b, o in zip(bits, owner) if o == i) for i in sorted(set(owner))]
+    r = draw(st.integers(1, len(u)))
+    extra = draw(st.lists(st.integers(1, r), min_size=len(u) - r, max_size=len(u) - r))
+    return u, draw(st.permutations(list(range(1, r + 1)) + extra))
+
+
+Z2_SQUARED = make_product([Z2, Z2])
+_ABELIAN = tuple(t for t in Target if t not in (Target.AFF_F2, Target.AFF_F2_UNSTABLE))
+GROUP_TARGETS = [
+    (Z2, tuple(Target)),
+    (Z2_SQUARED, tuple(Target)),
+    (Torus(1), _ABELIAN),
+    (SU2(), (Target.HOL_ORDINARY, Target.AUT_TWISTED, Target.HOL_UNSTABLE)),
+]
+
+
+@st.composite
+def built_certificates(draw):
+    group, targets = draw(st.sampled_from(GROUP_TARGETS))
+    factor = st.builds(lambda u: (2, E[u]), st.integers(1, 8))
+    if group in (Z2, Z2_SQUARED):
+        pair = st.tuples(st.integers(1, 4), st.integers(1, 4))
+        factor = factor | st.builds(lambda p: (4, SymClass.single(CircWord.of(*p))), pair)
+    factors = draw(st.lists(factor, min_size=1, max_size=2))
+    result = build_certificate(draw(st.sampled_from(targets)), group, factors)
+    assume(isinstance(result, Certificate))
+    return result
+
+
+certificates = built_certificates() | family_inputs().flatmap(
+    lambda inputs: st.sampled_from(list(example_family(*inputs).certificates.values()))
+)
+
+
+def single_mutations(doc):
+    """Documents that each change one derived or witnessed fact of ``doc``."""
+    for key in ("N", "degree"):
+        for step in (-1, 1):
+            yield f"{key}{step:+d}", {**doc, key: doc[key] + step}
+    stability = doc["stability"]
+    for flag in ("stable", "not_in_stabilization_image", "unstable"):
+        yield f"{flag} flipped", {**doc, "stability": {**stability, flag: not stability[flag]}}
+    if stability["vanishing_bound"] is not None:
+        yield "vanishing_bound dropped", {**doc, "stability": {**stability, "vanishing_bound": None}}
+    for i in range(len(doc["witness"]["factors"])):
+        mutated = copy.deepcopy(doc)
+        mutated["witness"]["factors"][i]["n"] += 1
+        yield f"factor {i} n+1", mutated
+
+
+@settings(max_examples=60, deadline=None)
+@given(certificates)
+def test_certificate_documents_round_trip_and_single_mutations_are_refused(cert):
+    text = json.dumps(cert.to_json(), sort_keys=True)
+    again = Certificate.from_json(json.loads(text))
+    assert again == cert
+    assert json.dumps(again.to_json(), sort_keys=True) == text
+    for name, mutated in single_mutations(json.loads(text)):
+        with pytest.raises(ValueError):
+            Certificate.from_json(mutated)
+            pytest.fail(f"accepted the mutation {name}")

@@ -273,3 +273,34 @@ def test_class_written_for_another_group_is_rejected(capsys):
     b = '{"group": "(z2^1) x (su2)", "tensor_terms": [[[0], 0]]}'
     code, _, _ = run(capsys, "alpha", "--group", "(z2)x(su2)", "-k", "1", "--a", "[2]", "--b", b)
     assert code == EXIT_NONZERO
+
+
+# malformed source classes, symmetric-group classes and factor lists:
+# each exits 2 with the expected shape, not a bare TypeError or KeyError
+MALFORMED_INPUTS = [
+    (["witness", "--group", "z2", "-k", "1", "--a", "3"], "expected a source class of the shape"),
+    (["alpha", "--group", "z2", "-k", "1", "--a", '"x"', "--b", UNIT_Z2],
+     "expected a source class of the shape"),
+    (["phi", "--group", "z2", "-n", "2", "--a", '{"gens": [[1]]}', "--b", UNIT_Z2],
+     'expected a class of the shape [{"gens": '),
+    (["phi", "--group", "z2", "-n", "2", "--a", '[{"gens": 1}]', "--b", UNIT_Z2],
+     'expected a class of the shape [{"gens": '),
+]
+MALFORMED_FACTORS = ['[{"m": 2}]', '{"n": 2}', "[[2]]"]
+FACTOR_COMMANDS = [
+    ["certify", "--target", "HolOrdinary", "--group", "z2"],
+    ["compose", "--group", "z2", "--b", UNIT_Z2],
+    ["stable-image", "--k-degree", "1"],
+]
+MALFORMED_INPUTS += [
+    (command + ["--factors", factors], 'expected a factor list of the shape [{"n": N, "a": CLASS}')
+    for factors in MALFORMED_FACTORS
+    for command in FACTOR_COMMANDS
+]
+
+
+@pytest.mark.parametrize("argv,message", MALFORMED_INPUTS)
+def test_malformed_input_names_the_expected_shape(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {message}"), err

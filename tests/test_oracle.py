@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -66,6 +67,43 @@ def test_elementary_abelian_table():
     for a in range(8):
         for b in range(8):
             assert v3.mul[a][b] == a ^ b
+
+
+def test_table_order_and_inverses_are_derived():
+    assert list(inspect.signature(FiniteGroupTable).parameters) == [
+        "mul", "identity", "kind", "params",
+    ]
+    d6 = FiniteGroupTable.dihedral(1)
+    copy = FiniteGroupTable(d6.mul, d6.identity)
+    assert copy.order == len(d6.mul) == 6
+    assert all(copy.mul[g][copy.inv[g]] == copy.identity for g in range(6))
+    assert copy.inv == d6.inv
+    with pytest.raises(ValueError, match="an element has no inverse"):
+        FiniteGroupTable(((0, 1), (1, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "mul,identity",
+    [
+        (((0, 1),), 0),  # one row of two
+        (((0, 1), (1,)), 0),  # a short row
+        (((0, 1, 2), (1, 0, 2)), 0),  # rows longer than the table
+        (((0, 2), (2, 0)), 0),  # an entry outside 0..1
+        (((0, -1), (-1, 0)), 0),  # a negative entry
+        (((0, 1), (1, 0)), 2),  # the identity is not an element
+        ((), 0),  # no elements at all
+    ],
+)
+def test_tables_that_are_not_square_or_out_of_range_are_rejected(mul, identity):
+    with pytest.raises(ValueError, match="expected a square table with entries and identity in"):
+        FiniteGroupTable(mul, identity)
+
+
+def test_z2_is_the_rank_one_elementary_abelian_table():
+    z2, v1 = FiniteGroupTable.z2(), FiniteGroupTable.elementary_abelian(1)
+    assert z2 == v1
+    assert (z2.kind, z2.params) == ("elementary_abelian", (1,))
+    assert z2.descriptor() == v1.descriptor() == Z2Power(1)
 
 
 def test_product_and_subgroup():
@@ -277,6 +315,10 @@ def test_compsum_z2_examples():
     a = DPClass.monomial(V1, (3,))
     b = CoefficientClass.unit(g)
     assert compsum_alpha(z2, 1, a, b) == alpha(g, 1, a, b)
+    # the rank-1 elementary abelian table is the same Z/2
+    v1 = FiniteGroupTable.elementary_abelian(1)
+    assert compsum_alpha(v1, 1, a, b) == compsum_alpha(z2, 1, a, b)
+    assert compsum_alpha(v1, 1, a, b).as_dp() == DPClass.monomial(GeneratorSet.z2_basis(1), (3,))
     a2 = DPClass.monomial(V2, (1, 2))
     out = compsum_alpha(z2, 2, a2, b)
     assert out == alpha(g, 2, a2, b)
@@ -519,10 +561,10 @@ def test_check_laws_rejects_random_nonassociative_loops():
             if not two_sided_inverses(mul):
                 continue
             if associative_by_triple_loop(mul):
-                FiniteGroupTable(n, mul, 0)  # a group: accepted
+                FiniteGroupTable(mul, 0)  # a group: accepted
                 continue
             with pytest.raises(ValueError, match="associativity"):
-                FiniteGroupTable(n, mul, 0)
+                FiniteGroupTable(mul, 0)
             rejected[n] += 1
 
 
@@ -545,7 +587,7 @@ def test_check_laws_verdict_matches_triple_loop_on_random_tables():
             perm[1:] = rest
             inv_perm = {p: i for i, p in enumerate(perm)}
             mul = [[perm[group.mul[inv_perm[a]][inv_perm[b]]] for b in range(n)] for a in range(n)]
-            FiniteGroupTable(n, tuple(tuple(r) for r in mul), 0)  # an isomorphic copy
+            FiniteGroupTable(tuple(tuple(r) for r in mul), 0)  # an isomorphic copy
             for _ in range(200):
                 a, b, c = (rng.randrange(1, n) for _ in range(3))
                 d = mul[b].index(mul[a][c])
@@ -557,10 +599,10 @@ def test_check_laws_verdict_matches_triple_loop_on_random_tables():
             if not two_sided_inverses(table):
                 continue
             if associative_by_triple_loop(table):
-                FiniteGroupTable(n, table, 0)
+                FiniteGroupTable(table, 0)
             else:
                 with pytest.raises(ValueError, match="associativity"):
-                    FiniteGroupTable(n, table, 0)
+                    FiniteGroupTable(table, 0)
 
 
 def test_group_laws_are_checked_above_order_200():
@@ -580,7 +622,7 @@ def test_group_laws_are_checked_above_order_200():
     )
     assert witness
     with pytest.raises(ValueError, match="associativity"):
-        FiniteGroupTable(n, table, 0)
+        FiniteGroupTable(table, 0)
 
 
 def cayley_action_rows_pointwise(g_table, k):
@@ -800,7 +842,7 @@ def test_orbit_plan_is_keyed_on_table_content():
     expected = compsum_alpha(d6, 1, a, b)
     plan = _orbit_plan(d6.mul, d6.identity, 1)
     # an equal table built from fresh row tuples, without the dihedral kind
-    generic = FiniteGroupTable(d6.order, tuple(tuple(row) for row in d6.mul), d6.identity)
+    generic = FiniteGroupTable(tuple(tuple(row) for row in d6.mul), d6.identity)
     assert generic.kind == "generic" and generic.mul is not d6.mul
     hits = _orbit_plan.cache_info().hits
     assert _orbit_plan(generic.mul, generic.identity, 1) is plan
@@ -862,7 +904,7 @@ def test_orbit_plan_keeps_no_action_table():
 def reference_boundary(mul, identity, degree):
     """The boundary on ``degree``, its faces by ``bar_boundary_word``, with
     its rank and kernel by the reference ``rref_kernel``."""
-    table = FiniteGroupTable(len(mul), mul, identity)
+    table = FiniteGroupTable(mul, identity)
     below = oracle.bar_words(table, degree - 1) if degree > 0 else [()]
     below_index = {w: i for i, w in enumerate(below)}
     words = oracle.bar_words(table, degree)
@@ -901,7 +943,7 @@ def bar_space_by_rref(table, degree):
 
 @functools.lru_cache(maxsize=None)
 def _spaces_by_content(mul, identity, degree):
-    table = FiniteGroupTable(len(mul), mul, identity)
+    table = FiniteGroupTable(mul, identity)
     return bar_space(table, degree), bar_space_by_rref(table, degree)
 
 
@@ -929,7 +971,7 @@ def relabelled(table):
         tuple(last - table.mul[last - a][last - b] for b in range(table.order))
         for a in range(table.order)
     )
-    return FiniteGroupTable(table.order, mul, last - table.identity)
+    return FiniteGroupTable(mul, last - table.identity)
 
 
 _Z2 = FiniteGroupTable.z2()

@@ -4,6 +4,8 @@ from bgops.f2core import F2Matrix, homology_dims
 from bgops.t3 import (
     T3Report,
     _BOUNDARIES,
+    _DIMS,
+    act,
     boundary_matrix,
     cell_basis,
     cellular_homology_dims,
@@ -87,6 +89,48 @@ def test_total_boundary_squares_to_zero_spot():
         for i in range(dims[key[2]]):
             chain = {key: 1 << i}
             assert not total_boundary(total_boundary(chain))
+
+
+def test_total_boundary_is_the_koszul_differential_tensor_the_cells():
+    # the resolution differential written out with t_i = 1 + x_i, as the
+    # paper states it, against the one ``total_boundary`` takes from
+    # ``oracle.koszul_boundary``
+    for k1 in range(3):
+        for k2 in range(3):
+            for q in range(4):
+                for i in range(_DIMS[q]):
+                    vec = 1 << i
+                    expected = {}
+                    if k1:
+                        expected[(k1 - 1, k2, q)] = vec ^ act(q, 1, vec)
+                    if k2:
+                        expected[(k1, k2 - 1, q)] = vec ^ act(q, 2, vec)
+                    if q:
+                        expected[(k1, k2, q - 1)] = _BOUNDARIES[q].apply(vec)
+                    expected = {key: v for key, v in expected.items() if v}
+                    assert total_boundary({(k1, k2, q): vec}) == expected, (k1, k2, q, i)
+
+
+def test_every_report_up_to_eight_passes():
+    checks = dict.fromkeys(
+        [
+            "cellular_d_squared_zero",
+            "resolution_d_squared_zero",
+            "total_d_squared_zero",
+            "fundamental_cycle",
+            "boundary_identity",
+            "homology_dims",
+        ],
+        True,
+    )
+    for n1 in range(9):
+        for n2 in range(9):
+            assert t3_verify(n1, n2).to_json() == {
+                "params": {"n1": n1, "n2": n2},
+                "checks": checks,
+                "homology_dims": [1, 3, 3, 1],
+                "pass": True,
+            }
 
 
 def test_report_serialization():
