@@ -12,9 +12,11 @@ groups themselves, which are unknown outside the stable range.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
+from .f2core import json_int
 from .operations import (
     CoefficientClass,
     GroupDescriptor,
@@ -155,11 +157,12 @@ def factors_to_json(factors: Sequence[tuple[int, SymClass]]) -> list[dict]:
 def factors_from_json(docs) -> tuple[tuple[int, SymClass], ...]:
     """Inverse of ``factors_to_json``; a document of another shape raises
     ValueError naming the expected one."""
+    shape = 'a factor list of the shape [{"n": N, "a": CLASS}, ...]'
     if not isinstance(docs, list) or not all(
-        isinstance(f, Mapping) and isinstance(f.get("n"), int) and "a" in f for f in docs
+        isinstance(f, Mapping) and "n" in f and "a" in f for f in docs
     ):
-        raise ValueError('expected a factor list of the shape [{"n": N, "a": CLASS}, ...]')
-    return tuple((f["n"], SymClass.from_json(f["a"])) for f in docs)
+        raise ValueError(f"expected {shape}")
+    return tuple((json_int(f["n"], shape), SymClass.from_json(f["a"])) for f in docs)
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,8 @@ class Certificate:
             stated = {key: stated.get(key) for key in derived["stability"]}
         claims = {"N": doc.get("N"), "degree": doc.get("degree"), "stability": stated}
         for key, value in claims.items():
-            if value != derived[key]:
+            # compared as JSON text, so that true is not 1 and 2.0 is not 2
+            if json.dumps(value, sort_keys=True) != json.dumps(derived[key], sort_keys=True):
                 raise ValueError(
                     f"{key} is {value!r}, but the target and factors give {derived[key]!r}"
                 )

@@ -24,6 +24,7 @@ from .certify import (
     factors_from_json,
     stable_image,
 )
+from .f2core import json_int
 from .gradedalg import DPClass, GeneratorSet
 from .operations import (
     A_count,
@@ -81,14 +82,13 @@ def _input_dp_class(doc, k: int) -> DPClass:
     """A class over the rank-k source, from full JSON, exponents or a list of them."""
     if isinstance(doc, dict):
         return DPClass.from_json(doc)
+    shape = f"a source class of the shape [E, ...], [[E, ...], ...] or {DPClass.JSON_SHAPE}"
+    if not isinstance(doc, list):
+        raise ValueError(f"expected {shape}")
     gens = GeneratorSet.v_basis(k)
-    if isinstance(doc, list) and doc and all(isinstance(t, list) for t in doc):
-        return DPClass.from_terms(gens, [tuple(t) for t in doc])
-    if isinstance(doc, list) and all(isinstance(e, int) for e in doc):
-        return DPClass.monomial(gens, tuple(doc))
-    raise ValueError(
-        f"expected a source class of the shape [E, ...], [[E, ...], ...] or {DPClass.JSON_SHAPE}"
-    )
+    if doc and all(isinstance(t, list) for t in doc):
+        return DPClass.from_terms(gens, [tuple(json_int(e, shape) for e in t) for t in doc])
+    return DPClass.monomial(gens, tuple(json_int(e, shape) for e in doc))
 
 
 def _emit(args, human: str, doc) -> None:

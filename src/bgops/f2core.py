@@ -4,12 +4,22 @@ Binomial and multinomial parities are computed from binary expansions
 (Lucas' theorem); matrices over GF(2) pack each row into a Python int,
 bit j of row i being the (i, j) entry.  ``SpanSolver`` is the one
 elimination routine: ranks, kernels and Betti numbers all come from it.
+``json_int`` is the integer check that every JSON decoder shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+
+def json_int(value, shape: str) -> int:
+    """``value`` when it is an int; a float, a bool (which JSON ``true``
+    decodes to, and which Python counts as an int) or anything else raises
+    ValueError naming the expected ``shape``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected {shape}, got {value!r}")
+    return value
 
 
 def binom_parity(n: int, m: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .f2core import F2Matrix
+from .f2core import F2Matrix, json_int
 
 DPMonomial = tuple[int, ...]
 """Exponent vector of a divided-power monomial, aligned with a GeneratorSet."""
@@ -183,12 +183,13 @@ class DPClass:
     def from_json(cls, doc: Mapping) -> "DPClass":
         """Inverse of ``to_json``; a document of another shape raises
         ValueError naming the expected one."""
+        shape = f"a class of the shape {cls.JSON_SHAPE}"
         try:
             gens = GeneratorSet(
                 tuple(g["name"] for g in doc["generators"]),
-                tuple(int(g["degree"]) for g in doc["generators"]),
+                tuple(json_int(g["degree"], shape) for g in doc["generators"]),
             )
-            terms = [tuple(int(t.get(n, 0)) for n in gens.names) for t in doc["terms"]]
+            terms = [tuple(json_int(t.get(n, 0), shape) for n in gens.names) for t in doc["terms"]]
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
                 f"expected a class of the shape {cls.JSON_SHAPE} ({type(exc).__name__}: {exc})"

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .f2core import binom_parity, multinomial_parity
+from .f2core import binom_parity, json_int, multinomial_parity
 from .gradedalg import (
     DPClass,
     DPMonomial,
@@ -461,11 +461,16 @@ class CoefficientClass:
             shape = '{"group": G, "tensor_terms": [[FACTOR, ...], ...]}'
         else:
             return cls.from_dp(group, DPClass.from_json(doc))
+        expected = f"a class of the shape {shape} for {format_group(group)}"
         rows = doc.get(key)
         if not isinstance(rows, list):
-            raise ValueError(f"expected a class of the shape {shape} for {format_group(group)}")
+            raise ValueError(f"expected {expected}")
         if isinstance(group, SU2):
             rows = [[m] for m in rows]
+
+        def monomial(m) -> tuple[int, ...]:  # an SU(2) factor is one bare exponent
+            return tuple(json_int(e, expected) for e in (m if isinstance(m, list) else [m]))
+
         acc: set[TensorTerm] = set()
         for row in rows:
             if not isinstance(row, list) or len(row) != len(factors):
@@ -473,7 +478,7 @@ class CoefficientClass:
             for g, m in zip(factors, row):
                 if isinstance(g, SU2) == isinstance(m, list):
                     raise ValueError(f"bad factor monomial {m!r} for {format_group(g)}")
-            acc ^= {tuple(tuple(m) if isinstance(m, list) else (int(m),) for m in row)}
+            acc ^= {tuple(map(monomial, row))}
         return cls(group, frozenset(acc))
 
     def __str__(self) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .f2core import F2Matrix, SpanSolver, homology_dims
@@ -51,13 +51,12 @@ class FiniteGroupTable:
     table that is not square or has an entry outside 0..order-1 raises
     ValueError.  Inverses are computed and the group laws verified at
     construction, for every order (see ``check_laws``), which also keeps
-    the generators its test picks as ``generators``.
+    the generators its test picks as ``generators``.  Everything else,
+    the descriptor included, is read from ``mul``.
     """
 
     mul: tuple[tuple[int, ...], ...]
     identity: int
-    kind: str = "generic"
-    params: tuple = ()
     inv: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     generators: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
@@ -130,10 +129,6 @@ class FiniteGroupTable:
                     raise ValueError("associativity fails")
 
     @classmethod
-    def trivial(cls) -> "FiniteGroupTable":
-        return cls(((0,),), 0, kind="trivial")
-
-    @classmethod
     def z2(cls) -> "FiniteGroupTable":
         return cls.elementary_abelian(1)
 
@@ -144,7 +139,7 @@ class FiniteGroupTable:
             raise ValueError("rank must be non-negative")
         n = 1 << k
         mul = tuple(tuple(a ^ b for b in range(n)) for a in range(n))
-        return cls(mul, 0, kind="elementary_abelian", params=(k,))
+        return cls(mul, 0)
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroupTable":
@@ -166,7 +161,7 @@ class FiniteGroupTable:
                 # (r^i s^j)(r^p s^q) = r^(i + (-1)^j p) s^(j+q)
                 row.append(idx(i + (p if j == 0 else -p), j + q))
             mul_rows.append(tuple(row))
-        return cls(tuple(mul_rows), 0, kind="dihedral", params=(n,))
+        return cls(tuple(mul_rows), 0)
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroupTable":
@@ -181,7 +176,7 @@ class FiniteGroupTable:
             for q in perms:
                 row.append(index[tuple(p[q[i]] for i in range(n))])
             mul_rows.append(tuple(row))
-        return cls(tuple(mul_rows), index[tuple(range(n))], kind="symmetric", params=(n,))
+        return cls(tuple(mul_rows), index[tuple(range(n))])
 
     @classmethod
     def product(cls, a: "FiniteGroupTable", b: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -196,7 +191,7 @@ class FiniteGroupTable:
                     for y2 in range(b.order):
                         row.append(arow * nb + b.mul[y1][y2])
                 mul_rows.append(tuple(row))
-        return cls(tuple(mul_rows), a.identity * nb + b.identity, kind="product", params=(a, b))
+        return cls(tuple(mul_rows), a.identity * nb + b.identity)
 
     def subgroup(self, indices: Sequence[int]) -> tuple["FiniteGroupTable", tuple[int, ...]]:
         """Subgroup on the given element indices; returns (table, embedding).
@@ -216,17 +211,33 @@ class FiniteGroupTable:
                     raise ValueError("indices are not closed under multiplication")
                 row.append(local[p])
             mul_rows.append(tuple(row))
-        return (
-            FiniteGroupTable(tuple(mul_rows), local[self.identity], kind="subgroup"),
-            emb,
-        )
+        return FiniteGroupTable(tuple(mul_rows), local[self.identity]), emb
 
     def descriptor(self) -> GroupDescriptor:
-        if self.kind == "elementary_abelian" and self.params == (1,):
-            return Z2Power(1)
-        if self.kind == "dihedral":
-            return Dihedral(self.params[0])
-        raise ValueError(f"no canonical descriptor for kind {self.kind!r}")
+        return self._structure[0]
+
+    @cached_property
+    def _structure(self) -> tuple[GroupDescriptor, int]:
+        """The descriptor read from ``mul``, and the least involution s,
+        the reflection whose constant bar words carry the canonical classes.
+
+        A table of order 2m, m odd, with m involutions and an element r of
+        m distinct powers (so of order m: a cyclic group has one involution)
+        is D_{2m}, or Z/2 for m = 1: <r> has odd order, the involutions fill
+        the coset s<r>, and (s r^i)^2 = e gives s r s = r^-1.  Any other
+        table raises ValueError.  Read on first use, never at construction,
+        as ``cayley_action`` builds large products.
+        """
+        n, e, mul = self.order, self.identity, self.mul
+        m = n // 2
+        involutions = [g for g in range(n) if g != e and mul[g][g] == e]
+        powers = (set(itertools.accumulate([g] * m, lambda x, y: mul[x][y])) for g in range(n))
+        if n % 4 == 2 and len(involutions) == m and any(len(p) == m for p in powers):
+            return (Dihedral(m // 2) if m > 1 else Z2Power(1)), involutions[0]
+        raise ValueError(
+            f"no descriptor for a table of order {n}: expected Z/2 or D_{{2m}} (order 2m, "
+            "m odd, with an element of order m and m involutions)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +714,13 @@ def bar_homology(
     image side of degree d - 1.
     """
     letters = max(table.order - 1, 1)
+    # every element is its own inverse exactly when the group is elementary abelian
+    elementary = table.inv == tuple(range(table.order))
     bar_feasible = letters ** (max_degree + 1) <= SIZE_BOUND
     if method == "auto":
         if bar_feasible:
             method = "bar"
-        elif table.kind == "elementary_abelian":
+        elif elementary:
             method = "koszul"
         else:
             raise SizeBoundError("bar complex too large and no minimal resolution available")
@@ -730,10 +743,9 @@ def bar_homology(
             reps.append(space.rep_chains())
         return BarHomologyResult(dims, reps, "bar")
     if method == "koszul":
-        if table.kind != "elementary_abelian":
+        if not elementary:
             raise ValueError("koszul method requires an elementary abelian group")
-        k = table.params[0]
-        dims, reps = _koszul_homology(k, max_degree)
+        dims, reps = _koszul_homology(table.order.bit_length() - 1, max_degree)
         return BarHomologyResult(dims, reps, "koszul")
     raise ValueError(f"unknown method {method!r}")
 
@@ -856,11 +868,11 @@ def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) 
     The degree-n divided power of a coordinate generator of V_k is
     represented by the n-letter constant bar word on that generator; the
     canonical degree-m class of G by the constant word on the reflection
-    generator (index 1 for order 2, the s-element for dihedral tables).
-    Products are formed with the shuffle cross product.
+    s of ``FiniteGroupTable._structure``.  Products are formed with the
+    shuffle cross product.
     """
     n_g = g_table.order
-    s_elem = _dihedral_s(g_table)
+    s_elem = g_table._structure[1]
     acc: set[tuple[int, ...]] = set()
     for mono in a.terms:
         for (m,) in b.terms:
@@ -875,12 +887,6 @@ def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) 
                 chain = cross_chains(chain, block_chain)
             acc ^= set(chain)
     return frozenset(acc)
-
-
-def _dihedral_s(g_table: FiniteGroupTable) -> int:
-    """The reflection: index 1 of Z/2, index 2n + 1 of the table of D_{4n+2}."""
-    descriptor = g_table.descriptor()
-    return 2 * descriptor.n + 1 if isinstance(descriptor, Dihedral) else 1
 
 
 @dataclass(frozen=True)
@@ -964,23 +970,18 @@ def compsum_alpha(
     out_chain: BarChain = frozenset(out)
     if bar_boundary_chain(g_table, out_chain):
         raise AssertionError("orbit sum did not produce a cycle")
-    coefficient = _canonical_coordinate(g_table, out_chain, total)
-    gens = GeneratorSet.z2_basis(1)
-    if coefficient:
-        return CoefficientClass.from_dp(descriptor, DPClass.monomial(gens, (total,)))
-    return CoefficientClass.from_dp(descriptor, DPClass.zero(gens))
+    terms = [(total,)] * _canonical_coordinate(g_table, out_chain, total)
+    return CoefficientClass.from_dp(descriptor, DPClass.from_terms(GeneratorSet.z2_basis(1), terms))
 
 
 def _canonical_coordinate(g_table: FiniteGroupTable, chain: BarChain, degree: int) -> int:
     """Coordinate of a cycle against the canonical generator of H_degree.
 
-    For order-2 groups the normalized bar chain group is one-dimensional.
-    For dihedral groups the chain transfers to the reflection subgroup
-    (an isomorphism on homology because the composite with the induced
-    map is multiplication by the odd index) and is read off there.
+    The chain transfers to the reflection subgroup <s>, of odd index m in
+    D_{2m} and in Z/2 (m = 1): an isomorphism on homology, as its composite
+    with the induced map is multiplication by m.  The normalized bar chain
+    group of <s> has one word per degree, and is read off there.
     """
-    s = _dihedral_s(g_table)
-    if g_table.order == 2:
-        return 1 if (s,) * degree in chain else 0
+    s = g_table._structure[1]
     reduced = transfer_chain(g_table, (g_table.identity, s), chain)
     return 1 if (1,) * degree in reduced else 0

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .f2core import json_int
+
 
 @dataclass(frozen=True)
 class CircWord:
@@ -42,7 +44,7 @@ class CircWord:
     @classmethod
     def from_chain(cls, chain: Sequence[int]) -> "CircWord":
         """Generator with chain (i1 <= ... <= ik): subscripts 2^(j-1) ij."""
-        chain = tuple(chain)
+        chain = tuple(json_int(i, "a chain of integers") for i in chain)
         if any(i < 1 for i in chain):
             raise ValueError("chain entries must be positive")
         if any(chain[j] > chain[j + 1] for j in range(len(chain) - 1)):
@@ -193,10 +195,13 @@ class SymClass:
         try:
             terms = [
                 [CircWord.from_chain(ch) for ch in doc.get("gens", ())]
-                + [CircWord(tuple(sorted(int(m) for m in w))) for w in doc.get("circ", ())]
+                + [
+                    CircWord.of(*(json_int(m, "integer subscripts") for m in w))
+                    for w in doc.get("circ", ())
+                ]
                 for doc in docs
             ]
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"expected a class of the shape {cls.JSON_SHAPE} ({exc})") from None
         return cls.from_terms(terms)
 

@@ -99,7 +99,7 @@ def test_criterion_05_orbit_census():
         for k in ks:
             orbits = action_orbits(cayley_action(table, k))
             odd = sum(1 for o in orbits if o.image_index % 2 == 1)
-            assert odd == 1 << k, (table.kind, k)
+            assert odd == 1 << k, (table.order, k)
     _report(5, "odd-index orbit count equals 2^k")
 
 

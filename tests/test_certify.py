@@ -287,7 +287,21 @@ def test_from_json_rejects_metadata_the_target_and_factors_do_not_give():
     assert Certificate.from_json(extended) == cert
 
 
-MALFORMED_FACTORS = [[{"m": 2}], {"n": 2}, [[2]], [{"n": 2}], [{"n": 2.5, "a": []}], 2, "[]"]
+def test_from_json_rejects_metadata_of_another_json_type():
+    cert = build_certificate(Target.HOL_ORDINARY, Z2, [(2, E[3])])
+    doc = cert.to_json()
+    stability = copy.deepcopy(doc["stability"])
+    stability["stable_image"]["L"] = float(stability["stable_image"]["L"])
+    claims = [("N", True), ("N", 1.0), ("degree", float(doc["degree"])), ("stability", stability)]
+    for key, value in claims:
+        assert value == doc[key]
+        with pytest.raises(ValueError, match=f"{key} is .*, but the target and factors give"):
+            Certificate.from_json({**doc, key: value})
+
+
+MALFORMED_FACTORS = [
+    [{"m": 2}], {"n": 2}, [[2]], [{"n": 2}], [{"n": 2.5, "a": []}], 2, "[]", [{"n": True, "a": []}]
+]
 
 
 @pytest.mark.parametrize("docs", MALFORMED_FACTORS)

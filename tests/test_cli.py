@@ -254,6 +254,14 @@ MALFORMED_B = [
     ("z2", '{"terms": [{}]}', 'expected a class of the shape {"generators": '),
     ("su2", '{"su2": 3}', 'expected a class of the shape {"su2": [M, ...]} for su2'),
     ("(z2)x(su2)", '{"tensor_terms": 1}', 'expected a class of the shape {"group": G, "tensor_terms"'),
+    # a float or a bool where an integer belongs
+    ("su2", '{"su2": [2.7]}', 'expected a class of the shape {"su2": [M, ...]} for su2'),
+    ("(z2)x(su2)", '{"tensor_terms": [[[2.5], 0]]}',
+     'expected a class of the shape {"group": G, "tensor_terms"'),
+    ("z2", '{"generators": [{"name": "x", "degree": 1}], "terms": [{"x": 2.7}]}',
+     'expected a class of the shape {"generators": '),
+    ("z2", '{"generators": [{"name": "x", "degree": true}], "terms": [{"x": 1}]}',
+     'expected a class of the shape {"generators": '),
 ]
 
 
@@ -286,7 +294,7 @@ MALFORMED_INPUTS = [
     (["phi", "--group", "z2", "-n", "2", "--a", '[{"gens": 1}]', "--b", UNIT_Z2],
      'expected a class of the shape [{"gens": '),
 ]
-MALFORMED_FACTORS = ['[{"m": 2}]', '{"n": 2}', "[[2]]"]
+MALFORMED_FACTORS = ['[{"m": 2}]', '{"n": 2}', "[[2]]", '[{"n": true, "a": []}]']
 FACTOR_COMMANDS = [
     ["certify", "--target", "HolOrdinary", "--group", "z2"],
     ["compose", "--group", "z2", "--b", UNIT_Z2],
@@ -296,6 +304,20 @@ MALFORMED_INPUTS += [
     (command + ["--factors", factors], 'expected a factor list of the shape [{"n": N, "a": CLASS}')
     for factors in MALFORMED_FACTORS
     for command in FACTOR_COMMANDS
+]
+MALFORMED_INPUTS += [
+    # a float or a bool where an integer belongs
+    (["witness", "--group", "z2", "-k", "1", "--a", "[true]"], "expected a source class of the shape"),
+    (["witness", "--group", "z2", "-k", "1", "--a", "[[2.7]]"], "expected a source class of the shape"),
+    (["witness", "--group", "z2", "-k", "1", "--a",
+      '{"generators": [{"name": "x1", "degree": 1}], "terms": [{"x1": 2.7}]}'],
+     'expected a class of the shape {"generators": '),
+    (["phi", "--group", "z2", "-n", "2", "--a", '[{"circ": [[2.7]]}]', "--b", UNIT_Z2],
+     'expected a class of the shape [{"gens": '),
+    (["phi", "--group", "z2", "-n", "2", "--a", '[{"gens": [[2.7]]}]', "--b", UNIT_Z2],
+     'expected a class of the shape [{"gens": '),
+    (["phi", "--group", "z2", "-n", "2", "--a", '[{"gens": [[true]]}]', "--b", UNIT_Z2],
+     'expected a class of the shape [{"gens": '),
 ]
 
 

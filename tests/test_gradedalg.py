@@ -345,6 +345,15 @@ def test_dp_json_round_trip():
     assert DPClass.from_json(doc) == a
 
 
+@pytest.mark.parametrize(
+    "degree,exponent", [(1, 2.7), (1, True), (1.0, 2), (True, 2)]
+)
+def test_dp_json_rejects_entries_that_are_not_integers(degree, exponent):
+    doc = {"generators": [{"name": "x1", "degree": degree}], "terms": [{"x1": exponent}]}
+    with pytest.raises(ValueError, match=r"expected a class of the shape \{"):
+        DPClass.from_json(doc)
+
+
 def test_homogeneity_helpers():
     a = DPClass.from_terms(G2, [(1, 0), (0, 2)])
     assert a.degrees() == {1, 2}

@@ -27,6 +27,7 @@ from bgops.operations import (
     SU2,
     A_count,
     CoefficientClass,
+    Dihedral,
     ProductGroup,
     Torus,
     Z2Power,
@@ -167,6 +168,26 @@ def test_closed_circle_and_su2_terms_match_the_round_trips():
     for n1 in range(201):
         for n2 in range(201 - n1):
             assert multiplier_terms(Torus(1), (n1, n2)) == circle_by_halving((n1, n2)), (n1, n2)
+
+
+def rank_one_by_binomials(mono: tuple[int, ...]) -> frozenset:
+    """C(x^[mono]) on Z/2 and on the dihedral groups, by its definition:
+    x^[n_1 + ... + n_k] when every n_j > 0 and the multinomial, taken as a
+    product of binomials C(n_1 + ... + n_j, n_j), is odd."""
+    total, multinomial = 0, 1
+    for n in mono:
+        total += n
+        multinomial *= math.comb(total, n)
+    return frozenset({((total,),)}) if min(mono) > 0 and multinomial % 2 else frozenset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=4))
+def test_rank_one_multiplier_matches_the_multinomial_at_large_exponents(exps):
+    """Beside the exhaustive ranges, which stop at small exponents."""
+    mono = tuple(exps)
+    for g in (Z2Power(1), Dihedral(2)):
+        assert multiplier_terms(g, mono) == rank_one_by_binomials(mono), (g, mono)
 
 
 def multiplier_by_compositions(l: int, mono: tuple[int, ...]) -> frozenset:

@@ -70,9 +70,7 @@ def test_elementary_abelian_table():
 
 
 def test_table_order_and_inverses_are_derived():
-    assert list(inspect.signature(FiniteGroupTable).parameters) == [
-        "mul", "identity", "kind", "params",
-    ]
+    assert list(inspect.signature(FiniteGroupTable).parameters) == ["mul", "identity"]
     d6 = FiniteGroupTable.dihedral(1)
     copy = FiniteGroupTable(d6.mul, d6.identity)
     assert copy.order == len(d6.mul) == 6
@@ -102,8 +100,57 @@ def test_tables_that_are_not_square_or_out_of_range_are_rejected(mul, identity):
 def test_z2_is_the_rank_one_elementary_abelian_table():
     z2, v1 = FiniteGroupTable.z2(), FiniteGroupTable.elementary_abelian(1)
     assert z2 == v1
-    assert (z2.kind, z2.params) == ("elementary_abelian", (1,))
     assert z2.descriptor() == v1.descriptor() == Z2Power(1)
+
+
+def test_a_table_is_its_multiplication_table():
+    assert [f.name for f in dataclasses.fields(FiniteGroupTable) if f.init] == ["mul", "identity"]
+    z2 = FiniteGroupTable.z2()
+    with pytest.raises(TypeError):
+        FiniteGroupTable(z2.mul, 0, kind="dihedral", params=(3,))
+    table = FiniteGroupTable(z2.mul, 0)
+    assert table.descriptor() == Z2Power(1)
+    a, unit = DPClass.monomial(V1, (1,)), CoefficientClass.unit(Z2Power(1))
+    assert compsum_alpha(table, 1, a, unit) == alpha(Z2Power(1), 1, a, unit)
+    assert not compsum_alpha(table, 1, a, unit).is_zero()
+
+
+def test_descriptor_and_reflection_are_read_from_the_table():
+    # the reflection is the least involution: index 1 of Z/2, 2n + 1 of D_{4n+2}
+    assert FiniteGroupTable.z2()._structure == (Z2Power(1), 1)
+    assert FiniteGroupTable.dihedral(0)._structure == (Z2Power(1), 1)
+    for n in range(1, 4):
+        assert FiniteGroupTable.dihedral(n)._structure == (Dihedral(n), 2 * n + 1)
+    assert FiniteGroupTable.symmetric(3).descriptor() == Dihedral(1)
+
+
+def shuffled(table: FiniteGroupTable, rng: random.Random) -> FiniteGroupTable:
+    """The same group with its elements renumbered by a random permutation."""
+    perm = list(range(table.order))
+    rng.shuffle(perm)
+    back = {p: g for g, p in enumerate(perm)}
+    mul = tuple(
+        tuple(perm[table.mul[back[x]][back[y]]] for y in range(table.order))
+        for x in range(table.order)
+    )
+    return FiniteGroupTable(mul, perm[table.identity])
+
+
+def test_compsum_reads_symmetric_and_relabelled_dihedral_tables():
+    rng = random.Random(16)
+    cases = [(FiniteGroupTable.symmetric(3), 2)]
+    cases += [(shuffled(FiniteGroupTable.dihedral(1), rng), 2) for _ in range(2)]
+    cases += [(shuffled(FiniteGroupTable.dihedral(2), rng), 1) for _ in range(2)]
+    z2gens = GeneratorSet.z2_basis(1)
+    for table, max_k in cases:
+        g = table.descriptor()
+        assert g == Dihedral(table.order // 4)
+        for k in range(1, max_k + 1):
+            for exps in itertools.product(range(1, 4 - k), repeat=k):
+                a = DPClass.monomial(GeneratorSet.v_basis(k), exps)
+                for m in range(3):
+                    b = CoefficientClass.from_dp(g, DPClass.monomial(z2gens, (m,)))
+                    assert compsum_alpha(table, k, a, b) == alpha(g, k, a, b), (table.mul, exps, m)
 
 
 def test_product_and_subgroup():
@@ -139,7 +186,7 @@ def test_action_orbits_d6_k1_census():
 
 
 def test_action_orbits_trivial_group():
-    orbits = action_orbits(cayley_action(FiniteGroupTable.trivial(), 1))
+    orbits = action_orbits(cayley_action(FiniteGroupTable.elementary_abelian(0), 1))
     assert len(orbits) == 1
     (o,) = orbits
     assert o.size == 1
@@ -183,7 +230,16 @@ def test_bar_homology_d6():
 
 
 def test_bar_homology_trivial_group():
-    assert bar_homology(FiniteGroupTable.trivial(), 3, method="bar").dims == [1, 0, 0, 0]
+    assert bar_homology(FiniteGroupTable.elementary_abelian(0), 3, method="bar").dims == [1, 0, 0, 0]
+
+
+def test_koszul_route_reads_an_elementary_abelian_table():
+    z2 = FiniteGroupTable.z2()
+    for table in (FiniteGroupTable.product(z2, z2), FiniteGroupTable.elementary_abelian(0)):
+        koszul = bar_homology(table, 6, method="koszul").dims
+        assert koszul == bar_homology(table, 6, method="bar").dims
+    with pytest.raises(ValueError, match="requires an elementary abelian group"):
+        bar_homology(FiniteGroupTable.dihedral(1), 2, method="koszul")
 
 
 def test_koszul_differential_squares_to_zero():
@@ -492,7 +548,6 @@ def associative_by_triple_loop(mul):
 
 
 def constructor_tables():
-    yield FiniteGroupTable.trivial()
     yield FiniteGroupTable.z2()
     for k in range(4):
         yield FiniteGroupTable.elementary_abelian(k)
@@ -651,7 +706,7 @@ def test_cayley_action_matches_pointwise_definition():
         for k in ks:
             action = cayley_action(table, k)
             rows, points = cayley_action_rows_pointwise(table, k)
-            assert action.act == rows, (table.kind, k)
+            assert action.act == rows, (table.order, k)
             assert action.set_size == len(points)
             order = n * n * (1 << k)
             assert action.proj == tuple(gi // n for gi in range(order))
@@ -841,9 +896,9 @@ def test_orbit_plan_is_keyed_on_table_content():
     b = CoefficientClass.unit(Dihedral(1))
     expected = compsum_alpha(d6, 1, a, b)
     plan = _orbit_plan(d6.mul, d6.identity, 1)
-    # an equal table built from fresh row tuples, without the dihedral kind
+    # an equal table built from fresh row tuples
     generic = FiniteGroupTable(tuple(tuple(row) for row in d6.mul), d6.identity)
-    assert generic.kind == "generic" and generic.mul is not d6.mul
+    assert generic.mul is not d6.mul
     hits = _orbit_plan.cache_info().hits
     assert _orbit_plan(generic.mul, generic.identity, 1) is plan
     assert _orbit_plan.cache_info().hits == hits + 1
@@ -862,6 +917,22 @@ def test_oversized_orbit_plan_raises_before_tabulating_and_caches_nothing(monkey
     with pytest.raises(SizeBoundError):
         compsum_alpha(FiniteGroupTable.dihedral(2), 3, a, CoefficientClass.unit(Dihedral(2)))
     assert _orbit_plan.cache_info().currsize == size
+
+
+def test_tables_without_a_descriptor_raise_before_tabulating(monkeypatch):
+    z6 = FiniteGroupTable(tuple(tuple((x + y) % 6 for y in range(6)) for x in range(6)), 0)
+    tables = [z6] + [FiniteGroupTable.elementary_abelian(k) for k in (0, 2)]
+    tables.append(FiniteGroupTable.symmetric(4))
+
+    def tabulated(*args):
+        raise AssertionError("the action was tabulated")
+
+    monkeypatch.setattr(oracle, "_point_map", tabulated)
+    monkeypatch.setattr(FiniteGroupTable, "product", classmethod(tabulated))
+    a = DPClass.monomial(V1, (1,))
+    for table in tables:
+        with pytest.raises(ValueError, match="expected Z/2 or D_"):
+            compsum_alpha(table, 1, a, CoefficientClass.unit(Z2Power(1)))
 
 
 def reachable(root):
@@ -893,7 +964,7 @@ def test_orbit_plan_keeps_no_action_table():
         for obj in objects:
             assert not isinstance(obj, FiniteGroupTable)
             assert not isinstance(obj, FiniteAction)
-            assert not (isinstance(obj, tuple) and len(obj) == set_size), (table.kind, k)
+            assert not (isinstance(obj, tuple) and len(obj) == set_size), (table.order, k)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,11 @@ MALFORMED = [
     ("(su2)x(su2)", {"group": "(su2)x(su2)", "tensor_terms": [[0, [0]]]}),
     ("(t^1)x(su2)", {"group": "(t^1)x(su2)", "tensor_terms": [[2, 0]]}),
     ("(t^1)x(su2)", {"group": "(t^1)x(su2)", "tensor_terms": [[[0], -3]]}),
+    # a float or a bool where an integer belongs
+    ("su2", {"su2": [2.7]}),
+    ("su2", {"su2": [True]}),
+    ("(z2)x(su2)", {"group": "(z2)x(su2)", "tensor_terms": [[[2.5], 0]]}),
+    ("(z2)x(su2)", {"group": "(z2)x(su2)", "tensor_terms": [[[1], 2.0]]}),
 ]
 
 

@@ -201,6 +201,21 @@ def test_sym_json_round_trip():
     assert SymClass.from_json(docs) == a
 
 
+@pytest.mark.parametrize(
+    "docs",
+    [[{"circ": [[2.7]]}], [{"gens": [[2.7]]}], [{"gens": [[True]]}], [{"circ": [[1, True]]}]],
+)
+def test_sym_json_rejects_entries_that_are_not_integers(docs):
+    with pytest.raises(ValueError, match=r"expected a class of the shape \[\{"):
+        SymClass.from_json(docs)
+
+
+@pytest.mark.parametrize("chain", [[2.7], [1, 2.0], [True]])
+def test_chain_entries_must_be_integers(chain):
+    with pytest.raises(ValueError, match="expected a chain of integers"):
+        CircWord.from_chain(chain)
+
+
 def test_weight_homogeneity():
     mixed = SymClass.from_terms([[CircWord.of(1)], [CircWord.of()]])
     with pytest.raises(ValueError):
