@@ -127,18 +127,24 @@ class DPClass:
 
     @classmethod
     def monomial(cls, gens: GeneratorSet, exps: Sequence[int] | Mapping[str, int]) -> "DPClass":
+        """The monomial with exponents ``exps``, given in generator order or
+        by name; an exponent that is not an int (a float or a bool) raises
+        ValueError naming the expected shape."""
         if isinstance(exps, Mapping):
             unknown = set(exps) - set(gens.names)
             if unknown:
                 raise ValueError(f"unknown generators {sorted(unknown)}")
-            exps = tuple(int(exps.get(name, 0)) for name in gens.names)
-        return cls(gens, frozenset({tuple(int(e) for e in exps)}))
+            exps = [exps.get(name, 0) for name in gens.names]
+        return cls.from_terms(gens, [exps])
 
     @classmethod
     def from_terms(cls, gens: GeneratorSet, terms: Iterable[Sequence[int]]) -> "DPClass":
+        """The sum of the monomials ``terms``; duplicates cancel, and an
+        exponent that is not an int raises as in ``monomial``."""
+        shape = "a monomial of integer exponents"
         acc: set[DPMonomial] = set()
         for t in terms:
-            acc ^= {tuple(int(e) for e in t)}
+            acc ^= {tuple(json_int(e, shape) for e in t)}
         return cls(gens, frozenset(acc))
 
     def __add__(self, other: "DPClass") -> "DPClass":

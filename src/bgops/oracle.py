@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .f2core import F2Matrix, SpanSolver, homology_dims
 from .gradedalg import DPClass, GeneratorSet, compositions
@@ -43,7 +43,7 @@ class SizeBoundError(ValueError):
 # finite group tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGroupTable:
     """Multiplication table of a finite group on indices 0..order-1.
 
@@ -51,8 +51,8 @@ class FiniteGroupTable:
     table that is not square or has an entry outside 0..order-1 raises
     ValueError.  Inverses are computed and the group laws verified at
     construction, for every order (see ``check_laws``), which also keeps
-    the generators its test picks as ``generators``.  Everything else,
-    the descriptor included, is read from ``mul``.
+    the generators its test picks as ``generators``.  Everything else is
+    read from ``mul``.  Tables are frozen, so the checks stay true.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -67,7 +67,7 @@ class FiniteGroupTable:
             raise ValueError(f"expected a square table with entries and identity in 0..{n - 1}")
         if any(self.identity not in row for row in self.mul):
             raise ValueError("an element has no inverse")
-        self.inv = tuple(row.index(self.identity) for row in self.mul)
+        object.__setattr__(self, "inv", tuple(row.index(self.identity) for row in self.mul))
         self.check_laws()
 
     @property
@@ -119,7 +119,7 @@ class FiniteGroupTable:
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
-        self.generators = tuple(gens)
+        object.__setattr__(self, "generators", tuple(gens))
         for s in gens:
             s_row = mul[s]
             for x_row in mul:
@@ -404,27 +404,6 @@ def bar_boundary_chain(table: FiniteGroupTable, chain: BarChain) -> BarChain:
     for word in chain:
         for face in bar_boundary_word(table, word):
             acc ^= {face}
-    return frozenset(acc)
-
-
-def cross_chains(left: BarChain, right: BarChain) -> BarChain:
-    """Homology cross product at chain level (shuffle interleavings)."""
-    acc: set[tuple[int, ...]] = set()
-    for u in left:
-        for v in right:
-            p, q = len(u), len(v)
-            for spots in itertools.combinations(range(p + q), p):
-                spot_set = set(spots)
-                word = []
-                i = j = 0
-                for pos in range(p + q):
-                    if pos in spot_set:
-                        word.append(u[i])
-                        i += 1
-                    else:
-                        word.append(v[j])
-                        j += 1
-                acc ^= {tuple(word)}
     return frozenset(acc)
 
 
@@ -839,6 +818,14 @@ def _koszul_homology(k: int, max_degree: int) -> tuple[list[int], list[list]]:
 # transfer and induced maps on bar homology
 
 
+@lru_cache(maxsize=16)
+def _reused_space(build: Callable, table: FiniteGroupTable, degree: int) -> BarSpace:
+    """``build(table, degree)`` for the 16 latest keys: ``transfer_map``
+    only reads its spaces.  ``build`` is ``bar_space`` as looked up at call
+    time, so a replaced one is never served another's spaces."""
+    return build(table, degree)
+
+
 def transfer_map(
     table: FiniteGroupTable, sub_indices: Sequence[int], degree: int
 ) -> F2Matrix:
@@ -849,8 +836,8 @@ def transfer_map(
     multiplication by the subgroup index.
     """
     sub_table, embedding = table.subgroup(sub_indices)
-    ambient = bar_space(table, degree)
-    subspace = bar_space(sub_table, degree)
+    ambient = _reused_space(bar_space, table, degree)
+    subspace = _reused_space(bar_space, sub_table, degree)
     columns = [
         subspace.class_coordinates(transfer_chain(table, embedding, rep))
         for rep in ambient.rep_chains()
@@ -860,33 +847,6 @@ def transfer_map(
 
 # ---------------------------------------------------------------------------
 # the orbit-sum evaluation of the operations for finite groups
-
-
-def _canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) -> BarChain:
-    """Chain representing a x b in the bar complex of V_k x G.
-
-    The degree-n divided power of a coordinate generator of V_k is
-    represented by the n-letter constant bar word on that generator; the
-    canonical degree-m class of G by the constant word on the reflection
-    s of ``FiniteGroupTable._structure``.  Products are formed with the
-    shuffle cross product.
-    """
-    n_g = g_table.order
-    s_elem = g_table._structure[1]
-    acc: set[tuple[int, ...]] = set()
-    for mono in a.terms:
-        for (m,) in b.terms:
-            blocks: list[list[int]] = []
-            for j, e in enumerate(mono):
-                lam_letter = (1 << j) * n_g + g_table.identity
-                blocks.append([lam_letter] * e)
-            blocks.append([0 * n_g + s_elem] * m)
-            chain: BarChain = frozenset({()})
-            for block in blocks:
-                block_chain = frozenset({tuple(block)}) if block else frozenset({()})
-                chain = cross_chains(chain, block_chain)
-            acc ^= set(chain)
-    return frozenset(acc)
 
 
 @dataclass(frozen=True)
@@ -905,9 +865,9 @@ class OrbitPlan:
 def _orbit_plan(mul: tuple[tuple[int, ...], ...], identity: int, k: int) -> OrbitPlan:
     """The orbit plan of the group with table ``mul``, built once per process.
 
-    Keyed on the table's content, because ``FiniteGroupTable`` is not
-    hashable.  The action and its orbit decomposition are built with every
-    check of ``cayley_action`` and ``action_orbits``; a ``SizeBoundError``
+    Keyed on the table's content, as an equal table hashes equal.  The
+    action and its orbit decomposition are built with every check of
+    ``cayley_action`` and ``action_orbits``; a ``SizeBoundError``
     propagates and caches nothing.  ``SIZE_BOUND`` leaves few feasible
     (G, k), so the cache stays small.
     """
@@ -921,6 +881,42 @@ def _orbit_plan(mul: tuple[tuple[int, ...], ...], identity: int, k: int) -> Orbi
         hom = [q_of[parent] for parent in orbit.image]
         steps.append(_transfer_steps(action.lam, orbit.image, hom))
     return OrbitPlan(tuple(steps))
+
+
+def _walk_arrangements(steps: StepTable, counts: Sequence[tuple[int, int]], acc: set) -> None:
+    """XOR into ``acc`` the walks (``_walk_steps``) from every coset of
+    the arrangements of a multiset of distinct (letter, count) pairs.
+
+    Let T(c) be the GF(2) sum of the pairs (j, w) over the start cosets
+    and the arrangements of counts c whose walk w is nondegenerate and
+    ends at coset j; T(0) = {(i, ()) for each coset i}.  An arrangement of
+    c is one of c - e_g followed by a letter g, c_g > 0, in one way only.
+    With steps[g][j] = (j', l), g sends (j, w) to (j', w.l), or nowhere
+    when l is None, and injectively, as g permutes the cosets: so T(c) is
+    the sum over g of the images of T(c - e_g).  Every walk is degenerate
+    when a letter of positive count steps to None from every coset.
+    """
+    rows = [(steps[g], n) for g, n in counts if n]
+    for row, _ in rows:
+        for _, letter in row:
+            if letter is not None:
+                break
+        else:
+            return
+    # sums[c'] is T(c'), c' in ``itertools.product`` order: c' - e_t is places[t] before c'
+    places = [1] * len(rows)
+    for t in range(len(rows) - 1, 0, -1):
+        places[t - 1] = places[t] * (rows[t][1] + 1)
+    sums = [{(i, ()) for i in range(len(steps[0]))}]
+    for remaining in itertools.islice(itertools.product(*(range(n + 1) for _, n in rows)), 1, None):
+        here: set = set()
+        for (row, _), r, place in zip(rows, remaining, places):
+            if r:
+                below = sums[len(sums) - place]
+                here ^= {(j, w + (l,)) for i, w in below for j, l in [row[i]] if l is not None}
+        sums.append(here)
+    for _, w in sums[-1]:
+        acc ^= {w}
 
 
 def compsum_alpha(
@@ -937,15 +933,17 @@ def compsum_alpha(
     transfer through such a subgroup vanishes because the induced map in
     homology is injective), and sums, over the survivors, the chain-level
     transfer to the projected stabilizer followed by the map induced by
-    the q-coordinate of the stabilizer.  The resulting cycle is read off
-    in the canonical basis.
+    the q-coordinate of the stabilizer, applied to the canonical cycle of
+    a x b, and reads the result off in the canonical basis.  The orbits
+    come from ``_orbit_plan`` as step tables; walks through them are
+    GF(2)-linear, and are XORed into the output.
 
-    The orbit structure depends only on (G, k), so it comes from
-    ``_orbit_plan``, built once per process: per surviving orbit, a table
-    of transfer steps whose letters are already pushed along the
-    q-coordinate.  Transfer and pushforward are both GF(2)-linear, so one
-    walk of the canonical cycle through each table, XORed into the output,
-    is the same sum as transferring the whole cycle and then pushing it.
+    The cycle of a term x^[e_1..e_k] (x) s^[m] is the shuffle product of
+    the constant bar words l_j^e_j and s^m, l_j = (1 << j)|G| + e the j-th
+    generator of V_k and s the reflection of ``_structure``.  The letters
+    are distinct, so the cycle is the set of the arrangements of the
+    multiset {l_j^(e_j), s^(m)}, each once, and distinct terms give
+    disjoint sets: ``_walk_arrangements`` walks them, unbuilt.
     """
     descriptor = g_table.descriptor()
     if b.group != descriptor:
@@ -962,10 +960,12 @@ def compsum_alpha(
         raise SizeBoundError(f"degree {total} exceeds max_degree {max_degree}")
 
     plan = _orbit_plan(g_table.mul, g_table.identity, k)
-    cycle = _canonical_cycle(g_table, k, a, b_dp)
+    n_g, e, s = g_table.order, g_table.identity, g_table._structure[1]
     out: set[tuple[int, ...]] = set()
-    for steps in plan.steps:
-        _walk_steps(steps, cycle, out)
+    for mono, (m,) in itertools.product(a.terms, b_dp.terms):
+        counts = [((1 << j) * n_g + e, n) for j, n in enumerate(mono)] + [(s, m)]
+        for steps in plan.steps:
+            _walk_arrangements(steps, counts, out)
 
     out_chain: BarChain = frozenset(out)
     if bar_boundary_chain(g_table, out_chain):

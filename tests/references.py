@@ -20,10 +20,12 @@ the library inserts into a ``SpanSolver``.
 | ``F2Matrix.columns``                      | ``column``                                         |
 | ``transfer_map`` (composed with it)       | ``induced_map``                                    |
 | ``cayley_action``                         | ``check_action_axioms``                            |
+| ``compsum_alpha`` (its cycle)             | ``canonical_cycle``, ``cross_chains``              |
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 from bgops import oracle
@@ -35,7 +37,7 @@ from bgops.operations import (
     Torus,
     multiplier,
 )
-from bgops.oracle import FiniteAction, FiniteGroupTable
+from bgops.oracle import BarChain, FiniteAction, FiniteGroupTable
 from bgops.symhomology import term_is_decomposable
 
 
@@ -283,3 +285,52 @@ def induced_map(table: FiniteGroupTable, sub_indices, degree: int) -> F2Matrix:
         for rep in subspace.rep_chains()
     ]
     return F2Matrix.from_columns(ambient.dim, columns)
+
+
+def cross_chains(left: BarChain, right: BarChain) -> BarChain:
+    """Homology cross product at chain level (shuffle interleavings)."""
+    acc: set[tuple[int, ...]] = set()
+    for u in left:
+        for v in right:
+            p, q = len(u), len(v)
+            for spots in itertools.combinations(range(p + q), p):
+                spot_set = set(spots)
+                word = []
+                i = j = 0
+                for pos in range(p + q):
+                    if pos in spot_set:
+                        word.append(u[i])
+                        i += 1
+                    else:
+                        word.append(v[j])
+                        j += 1
+                acc ^= {tuple(word)}
+    return frozenset(acc)
+
+
+def canonical_cycle(g_table: FiniteGroupTable, k: int, a: DPClass, b: DPClass) -> BarChain:
+    """Chain representing a x b in the bar complex of V_k x G, which
+    ``compsum_alpha`` walks as letter multisets without building it.
+
+    The degree-n divided power of a coordinate generator of V_k is
+    represented by the n-letter constant bar word on that generator; the
+    canonical degree-m class of G by the constant word on the reflection
+    s of ``FiniteGroupTable._structure``.  Products are formed with the
+    shuffle cross product.
+    """
+    n_g = g_table.order
+    s_elem = g_table._structure[1]
+    acc: set[tuple[int, ...]] = set()
+    for mono in a.terms:
+        for (m,) in b.terms:
+            blocks: list[list[int]] = []
+            for j, e in enumerate(mono):
+                lam_letter = (1 << j) * n_g + g_table.identity
+                blocks.append([lam_letter] * e)
+            blocks.append([0 * n_g + s_elem] * m)
+            chain: BarChain = frozenset({()})
+            for block in blocks:
+                block_chain = frozenset({tuple(block)}) if block else frozenset({()})
+                chain = cross_chains(chain, block_chain)
+            acc ^= set(chain)
+    return frozenset(acc)

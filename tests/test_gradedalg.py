@@ -354,6 +354,22 @@ def test_dp_json_rejects_entries_that_are_not_integers(degree, exponent):
         DPClass.from_json(doc)
 
 
+@pytest.mark.parametrize("exponent", [2.7, 2.0, True, False, "2"])
+def test_constructors_reject_exponents_that_are_not_integers(exponent):
+    # int() would make 2.7 into x^[2] and True into x
+    makers = [
+        lambda: DPClass.monomial(G1, (exponent,)),
+        lambda: DPClass.monomial(G2, {"x2": exponent}),
+        lambda: DPClass.from_terms(G1, [(exponent,)]),
+        lambda: DPClass.from_terms(G2, [(1, 0), (0, exponent)]),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match="expected a monomial of integer exponents, got"):
+            make()
+    expected = DPClass.from_terms(G2, [(0, 3)])
+    assert DPClass.monomial(G2, {"x2": 3}) == DPClass.monomial(G2, (0, 3)) == expected
+
+
 def test_homogeneity_helpers():
     a = DPClass.from_terms(G2, [(1, 0), (0, 2)])
     assert a.degrees() == {1, 2}

@@ -26,7 +26,6 @@ from bgops.oracle import (
     bar_space,
     cayley_action,
     compsum_alpha,
-    cross_chains,
     koszul_generators,
     koszul_check_differential,
     transfer_chain,
@@ -35,7 +34,10 @@ from bgops.oracle import (
 
 from references import (
     _rref,
+    canonical_cycle,
     check_action_axioms,
+    compositions,
+    cross_chains,
     induced_map,
     kernel_by_scanning_pivot_rows,
     rref_kernel,
@@ -113,6 +115,20 @@ def test_a_table_is_its_multiplication_table():
     a, unit = DPClass.monomial(V1, (1,)), CoefficientClass.unit(Z2Power(1))
     assert compsum_alpha(table, 1, a, unit) == alpha(Z2Power(1), 1, a, unit)
     assert not compsum_alpha(table, 1, a, unit).is_zero()
+
+
+def test_tables_are_frozen_and_equal_tables_hash_equal():
+    d6 = FiniteGroupTable.dihedral(1)
+    assert d6.descriptor() == Dihedral(1)
+    z2 = FiniteGroupTable.z2()
+    for name, value in (("mul", z2.mul), ("identity", 1), ("inv", z2.inv), ("generators", (1,))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d6, name, value)
+    assert (d6.order, d6.inv, d6.descriptor()) == (6, (0, 2, 1, 3, 4, 5), Dihedral(1))
+    copy = FiniteGroupTable(tuple(tuple(row) for row in d6.mul), d6.identity)
+    assert copy.mul is not d6.mul
+    assert copy == d6 and hash(copy) == hash(d6)
+    assert len({d6, copy, z2, FiniteGroupTable.elementary_abelian(1)}) == 2
 
 
 def test_descriptor_and_reflection_are_read_from_the_table():
@@ -785,7 +801,7 @@ def compsum_by_orbits(g_table, action, pushes, k, a, b):
     """The orbit sum as one transfer and one pushforward per odd orbit."""
     b_dp = b.as_dp()
     total = a.homogeneous_degree() + b_dp.homogeneous_degree()
-    cycle = oracle._canonical_cycle(g_table, k, a, b_dp)
+    cycle = canonical_cycle(g_table, k, a, b_dp)
     out = set()
     for image, hom in pushes:
         transferred = transfer_chain_by_cosets(action.lam, image, cycle)
@@ -826,6 +842,43 @@ def test_compsum_matches_per_orbit_route():
                 assert out == compsum_by_orbits(table, action, pushes, k, a, b), (g, k, mono, m)
                 nonzero += not out.is_zero()
     assert nonzero > 20
+
+
+# (table, descriptor, k, largest total degree) with several monomials per degree
+MULTI_TERM_CASES = (
+    (FiniteGroupTable.z2, Z2Power(1), 2, 8),
+    (FiniteGroupTable.z2, Z2Power(1), 3, 6),
+    (lambda: FiniteGroupTable.dihedral(1), Dihedral(1), 2, 4),
+    (lambda: FiniteGroupTable.dihedral(2), Dihedral(2), 2, 3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def multi_term_reference(case: int):
+    """The table, action and odd-orbit pushes of MULTI_TERM_CASES[case], built once."""
+    make, _, k, _ = MULTI_TERM_CASES[case]
+    table = make()
+    action = cayley_action(table, k)
+    return table, action, odd_orbit_pushes(action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(MULTI_TERM_CASES))), st.data())
+def test_compsum_of_a_multi_term_class_is_the_sum_over_its_monomials(case, data):
+    _, g, k, top = MULTI_TERM_CASES[case]
+    table, action, pushes = multi_term_reference(case)
+    m = data.draw(st.integers(0, 2))
+    degree = data.draw(st.integers(1, top - m))
+    of_degree = st.sampled_from(list(compositions(degree, k)))
+    monos = data.draw(st.lists(of_degree, min_size=2, max_size=3, unique=True))
+    a = DPClass.from_terms(GeneratorSet.v_basis(k), monos)
+    b = CoefficientClass.from_dp(g, DPClass.monomial(GeneratorSet.z2_basis(1), (m,)))
+    out = compsum_alpha(table, k, a, b)
+    assert out == compsum_by_orbits(table, action, pushes, k, a, b)
+    parts = CoefficientClass.zero(g)
+    for mono in monos:
+        parts += compsum_alpha(table, k, DPClass.monomial(GeneratorSet.v_basis(k), mono), b)
+    assert out == parts == alpha(g, k, a, b)
 
 
 ORBIT_CASES = (
@@ -1156,6 +1209,48 @@ def test_transfer_and_induced_maps_match_rref_route(monkeypatch):
                 patch.setattr(oracle, "bar_space", lambda t, d: both_spaces(t, d)[route])
                 maps[route] = [(transfer_map(table, sub, d), induced_map(table, sub, d)) for d in degrees]
         assert maps[0] == maps[1], sub
+
+
+def test_transfer_map_builds_each_space_once(monkeypatch):
+    built = []
+
+    def counting(table, degree):
+        built.append((table, degree))
+        return bar_space(table, degree)
+
+    monkeypatch.setattr(oracle, "bar_space", counting)
+    for _ in range(3):
+        for table, sub in SUBGROUPS:
+            # an equal table built from fresh rows on every pass
+            fresh = FiniteGroupTable(tuple(tuple(row) for row in table.mul), table.identity)
+            for d in (1, 2):
+                transfer_map(fresh, sub, d)
+    # ambient and subgroup tables: v2, d6, d10, {e}, Z/2, Z/3, Z/5 in two degrees
+    assert len(built) == len(set(built)) == 14
+
+
+def test_reused_spaces_give_the_matrices_of_fresh_spaces():
+    for table, sub in SUBGROUPS:
+        sub_table, embedding = table.subgroup(sub)
+        for d in range(4 if table.order < 10 else 3):
+            ambient, subspace = bar_space(table, d), bar_space(sub_table, d)
+            columns = [
+                subspace.class_coordinates(transfer_chain(table, embedding, rep))
+                for rep in ambient.rep_chains()
+            ]
+            fresh = F2Matrix.from_columns(subspace.dim, columns)
+            # the first call may build the spaces, the second reads them
+            assert transfer_map(table, sub, d) == transfer_map(table, sub, d) == fresh, (sub, d)
+
+
+def test_an_oversized_transfer_caches_nothing():
+    d10 = FiniteGroupTable.dihedral(2)
+    oracle._reused_space.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SizeBoundError):
+            transfer_map(d10, [0, 5], 7)
+    info = oracle._reused_space.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
 
 
 def test_bar_space_size_guard_precedes_enumeration(monkeypatch):
