@@ -125,8 +125,7 @@ class F2Matrix:
 
     def rank(self) -> int:
         solver = SpanSolver()
-        for r in self.data:
-            solver.add_modulo(r)
+        solver.add_all_modulo(self.data)
         return solver.rank
 
     def is_zero(self) -> bool:
@@ -223,9 +222,27 @@ class SpanSolver:
         combination masks, so a large span to read modulo adds no
         tracking cost to later reductions.
         """
-        v, combo = self._reduce(v, 0)
-        if v:
-            self._rows[v.bit_length()] = (v, combo)
+        self.add_all_modulo((v,))
+
+    def add_all_modulo(self, vectors: Iterable[int]) -> None:
+        """``add_modulo`` of each vector in turn.
+
+        The reduction is ``_reduce`` written inline, so a long stream of
+        vectors costs no call and no tuple per vector; a stored row keeps
+        the combinations of the rows it was reduced by, as in ``_reduce``.
+        """
+        rows = self._rows
+        find = rows.get
+        for v in vectors:
+            combo = 0
+            while v:
+                lead = v.bit_length()
+                pivot = find(lead)
+                if pivot is None:
+                    rows[lead] = (v, combo)
+                    break
+                v ^= pivot[0]
+                combo ^= pivot[1]
 
     def _reduce(self, v: int, combo: int) -> tuple[int, int]:
         rows = self._rows

@@ -477,10 +477,17 @@ def transfer_chain(
     representatives y, the lifts h_i = y(next)^-1 g_i y(prev) of each bar
     word; lifts containing an identity letter are degenerate and dropped.
     """
-    steps = _transfer_steps(table, sub_embedding, range(len(sub_embedding)))
     acc: set[tuple[int, ...]] = set()
-    _walk_steps(steps, chain, acc)
+    _walk_steps(_subgroup_steps(table, tuple(sub_embedding)), chain, acc)
     return frozenset(acc)
+
+
+@lru_cache(maxsize=32)
+def _subgroup_steps(table: FiniteGroupTable, embedding: tuple[int, ...]) -> StepTable:
+    """The step table of ``transfer_chain`` for the 32 latest (table,
+    embedding) keys: it depends on nothing else, and tables are frozen and
+    hash by content, so a table built afresh finds its steps."""
+    return _transfer_steps(table, embedding, range(len(embedding)))
 
 
 @dataclass
@@ -585,13 +592,12 @@ def _boundary_masks(
         yield mask ^ (1 << rest) ^ (1 << (shift + rest // n_letters))
 
 
-def _kernel_and_image(table: FiniteGroupTable, degree: int) -> tuple[list[int], SpanSolver]:
-    """One elimination of the boundary on ``degree``: its kernel basis, in
-    the reduced-echelon order of ``f2_rank_kernel``, and the span of its
-    image, with the columns' combinations."""
-    solver = SpanSolver()
-    relations = map(solver.add_relation, _boundary_masks(table, degree))
-    return [r for r in relations if r], solver
+def _kernel(table: FiniteGroupTable, degree: int, image: SpanSolver) -> Iterator[int]:
+    """The kernel basis of the boundary on ``degree``, in the reduced-echelon
+    order of ``f2_rank_kernel``, streamed: the columns are eliminated into
+    ``image`` as the vectors are pulled, so it spans the image of the
+    columns eliminated so far, with their combinations."""
+    return filter(None, map(image.add_relation, _boundary_masks(table, degree)))
 
 
 def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
@@ -617,26 +623,34 @@ def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
     where d[b|w] is in U by induction and the rest by a in S.
     """
     solver = SpanSolver()
-    for mask in _boundary_masks(table, degree, table.generators):
-        solver.add_modulo(mask)
+    solver.add_all_modulo(_boundary_masks(table, degree, table.generators))
     return solver
 
 
 def _homology_space(
-    table: FiniteGroupTable, degree: int, kernel: Sequence[int], boundaries: SpanSolver
+    table: FiniteGroupTable,
+    degree: int,
+    kernel: Iterable[int],
+    cycles: int,
+    boundaries: SpanSolver,
 ) -> BarSpace:
     """Representatives: the kernel vectors outside the span of the
     boundaries and the earlier kernel vectors, each given one coordinate
     bit; ``boundaries`` becomes the space's solver.
 
-    The boundaries and the representatives are cycles, so once the rank
-    of that span reaches ``len(kernel)`` it is every cycle, and no later
-    kernel vector can be a representative; the scan stops there."""
+    ``cycles`` is the dimension of the kernel, the number of vectors
+    ``kernel`` yields.  The boundaries and the representatives are cycles,
+    so once the rank of their span reaches ``cycles`` it is every cycle,
+    and no later kernel vector can be a representative.  The scan checks
+    that before pulling each vector, so a streamed kernel is eliminated
+    only up to its last representative, and not at all when every cycle
+    is a boundary."""
     reps = []
-    cycles = len(kernel)
-    for v in kernel:
-        if boundaries.rank == cycles:
-            break
+    vectors = iter(kernel)
+    while boundaries.rank < cycles:
+        v = next(vectors, 0)
+        if not v:
+            raise AssertionError("the kernel has fewer vectors than its dimension")
         if boundaries.coordinates(v) is None:
             boundaries.add(v)
             reps.append(v)
@@ -648,11 +662,11 @@ def _homology_space(
 def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     """Representative cycles of the bar homology in one degree.
 
-    The columns of the boundary on ``degree`` are eliminated once, in
-    word order; the ones that enlarge nothing give the kernel basis in
-    reduced echelon form.  The kernel vectors are then reduced modulo the
-    image of the boundary from one degree higher, and the survivors are
-    the representatives, in deterministic order.
+    The columns of the boundary on ``degree`` are eliminated in word
+    order; the ones that enlarge nothing give the kernel basis in reduced
+    echelon form.  The kernel vectors are reduced, as they are found,
+    modulo the image of the boundary from one degree higher, and the
+    survivors are the representatives, in deterministic order.
 
     Only the span of that image matters, not the basis it is eliminated
     into: a kernel vector is a representative iff it lies outside the
@@ -665,13 +679,25 @@ def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     of the words that start with a generator of the table: for any
     generating set S, the image of the boundary on degree + 1 is spanned
     by the boundaries of [s|w], s in S (proof at ``_boundary_span``).
+
+    The dimension of the kernel is counted first, as the number of words
+    minus the rank of the boundary on ``degree``; that rank is the rank
+    of the boundaries of the words that start with a generator, which
+    span the image (``_boundary_span``), at |S| L^(degree - 1) columns.
+    Once the boundaries and the representatives span that many vectors
+    they span every cycle, so the elimination stops at the last
+    representative (``_homology_space``): the later columns could only
+    give kernel vectors that are no representatives.  The vectors seen
+    and their order are those of the full elimination, so ``reps``,
+    ``dim`` and ``class_coordinates`` are too.
     """
     if degree < 0:
         raise ValueError("bar degree must be non-negative")
     if max(table.order - 1, 1) ** (degree + 1) > SIZE_BOUND:
         raise SizeBoundError("bar complex too large for the requested degree")
-    kernel, _ = _kernel_and_image(table, degree)
-    return _homology_space(table, degree, kernel, _boundary_span(table, degree + 1))
+    cycles = (table.order - 1) ** degree - _boundary_span(table, degree).rank
+    kernel = _kernel(table, degree, SpanSolver())
+    return _homology_space(table, degree, kernel, cycles, _boundary_span(table, degree + 1))
 
 
 @dataclass
@@ -711,13 +737,13 @@ def bar_homology(
         kernels = []
         spans = []
         for d in range(max_degree + 1):
-            kernel, image = _kernel_and_image(table, d)
-            kernels.append(kernel)
+            image = SpanSolver()
+            kernels.append(list(_kernel(table, d, image)))
             if d:
                 spans.append(image.project(()))
         spans.append(_boundary_span(table, max_degree + 1))
         for d, (kernel, span) in enumerate(zip(kernels, spans)):
-            space = _homology_space(table, d, kernel, span)
+            space = _homology_space(table, d, kernel, len(kernel), span)
             dims.append(space.dim)
             reps.append(space.rep_chains())
         return BarHomologyResult(dims, reps, "bar")
@@ -821,8 +847,9 @@ def _koszul_homology(k: int, max_degree: int) -> tuple[list[int], list[list]]:
 @lru_cache(maxsize=16)
 def _reused_space(build: Callable, table: FiniteGroupTable, degree: int) -> BarSpace:
     """``build(table, degree)`` for the 16 latest keys: ``transfer_map``
-    only reads its spaces.  ``build`` is ``bar_space`` as looked up at call
-    time, so a replaced one is never served another's spaces."""
+    and the ``oracle-check`` battery only read their spaces.  ``build`` is
+    ``bar_space`` as looked up at call time, so a replaced one is never
+    served another's spaces."""
     return build(table, degree)
 
 

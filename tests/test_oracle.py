@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import functools
 import inspect
 import itertools
+import json
 import math
 import random
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from bgops.f2core import F2Matrix, SpanSolver, f2_rank_kernel, homology_dims
 from bgops.gradedalg import DPClass, GeneratorSet
 from bgops.operations import CoefficientClass, Dihedral, Z2Power, alpha
-from bgops import oracle
+from bgops import cli, oracle
 from bgops.oracle import (
     FiniteAction,
     FiniteGroupTable,
@@ -1229,6 +1231,39 @@ def test_transfer_map_builds_each_space_once(monkeypatch):
     assert len(built) == len(set(built)) == 14
 
 
+def test_step_tables_are_built_once_per_table_and_embedding(monkeypatch):
+    readouts = [
+        (FiniteGroupTable.z2(), CoefficientClass.unit(Z2Power(1))),
+        (FiniteGroupTable.dihedral(1), CoefficientClass.unit(Dihedral(1))),
+        (FiniteGroupTable.dihedral(2), CoefficientClass.unit(Dihedral(2))),
+    ]
+    a = DPClass.monomial(V1, (2,))
+    for table, unit in readouts:
+        compsum_alpha(table, 1, a, unit)  # the orbit plans build their own steps
+    built = []
+    real = oracle._transfer_steps
+
+    def counting(table, sub_embedding, hom):
+        built.append((table, tuple(sub_embedding)))
+        return real(table, sub_embedding, hom)
+
+    monkeypatch.setattr(oracle, "_transfer_steps", counting)
+    oracle._subgroup_steps.cache_clear()
+    for _ in range(3):
+        for table, sub in SUBGROUPS:
+            fresh = FiniteGroupTable(tuple(tuple(row) for row in table.mul), table.identity)
+            for d in (1, 2):
+                transfer_map(fresh, sub, d)
+        for table, unit in readouts:
+            fresh = FiniteGroupTable(tuple(tuple(row) for row in table.mul), table.identity)
+            assert compsum_alpha(fresh, 1, a, unit) == alpha(unit.group, 1, a, unit)
+    expected = {(table, table.subgroup(sub)[1]) for table, sub in SUBGROUPS}
+    # the readout transfers to the reflection subgroup, already a key for D6 and D10
+    expected |= {(t, (t.identity, t._structure[1])) for t, _ in readouts}
+    assert len(built) == len(set(built)) == len(expected) == 18
+    assert set(built) == expected
+
+
 def test_reused_spaces_give_the_matrices_of_fresh_spaces():
     for table, sub in SUBGROUPS:
         sub_table, embedding = table.subgroup(sub)
@@ -1251,6 +1286,76 @@ def test_an_oversized_transfer_caches_nothing():
             transfer_map(d10, [0, 5], 7)
     info = oracle._reused_space.cache_info()
     assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+
+
+def test_oracle_check_builds_each_battery_space_once(monkeypatch, capsys):
+    built = []
+
+    def counting(table, degree):
+        built.append((table, degree))
+        return bar_space(table, degree)
+
+    monkeypatch.setattr(cli, "bar_space", counting)
+    for _ in range(2):
+        assert cli.main(["--json", "oracle-check"]) == 0
+    assert built == [(FiniteGroupTable.dihedral(1), d) for d in range(4)]
+    assert all(json.loads(line)["pass"] for line in capsys.readouterr().out.splitlines())
+
+
+def capture_cycle_counts(monkeypatch):
+    """The cycle count each ``bar_space`` call passes to ``_homology_space``."""
+    counts = []
+    real = oracle._homology_space
+
+    def capturing(table, degree, kernel, cycles, boundaries):
+        counts.append(cycles)
+        return real(table, degree, kernel, cycles, boundaries)
+
+    monkeypatch.setattr(oracle, "_homology_space", capturing)
+    return counts
+
+
+def test_cycle_count_is_the_dimension_of_the_kernel(monkeypatch):
+    counts = capture_cycle_counts(monkeypatch)
+    trivial = FiniteGroupTable.elementary_abelian(0)
+    cases = [(BAR_TABLES[name], d) for name, d in BAR_CASES] + [(trivial, d) for d in range(3)]
+    for table, d in cases:
+        bar_space(table, d)
+        full = list(oracle._kernel(table, d, SpanSolver()))
+        assert counts.pop() == len(full), (table, d)
+    assert [bar_space(trivial, d).dim for d in range(3)] == [1, 0, 0]
+
+
+def count_pulled_masks(monkeypatch):
+    """Per degree, the masks pulled from ``_boundary_masks`` streams of
+    every word (the kernel's columns), as opposed to generator-started ones."""
+    pulled = collections.Counter()
+    real = oracle._boundary_masks
+
+    def counting(table, degree, first_letters=None):
+        for mask in real(table, degree, first_letters):
+            if first_letters is None:
+                pulled[degree] += 1
+            yield mask
+
+    monkeypatch.setattr(oracle, "_boundary_masks", counting)
+    return pulled
+
+
+def test_bar_space_stops_the_elimination_at_the_last_representative(monkeypatch):
+    pulled = count_pulled_masks(monkeypatch)
+    space = bar_space(FiniteGroupTable.dihedral(2), 3)
+    assert space.dim == 1
+    assert 0 < pulled[3] < 9**3
+    assert set(pulled) == {3}
+
+
+def test_a_space_without_homology_eliminates_no_column(monkeypatch):
+    # C5 has odd order, so its mod-2 homology is zero above degree 0
+    pulled = count_pulled_masks(monkeypatch)
+    c5 = BAR_TABLES["c5 in d10"]
+    assert [bar_space(c5, d).dim for d in bar_degrees(c5)] == [1] + [0] * (len(bar_degrees(c5)) - 1)
+    assert pulled == {0: 1}
 
 
 def test_bar_space_size_guard_precedes_enumeration(monkeypatch):
