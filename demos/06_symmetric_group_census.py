@@ -10,9 +10,7 @@ complex.
 
 import math
 
-from bgops import FiniteGroupTable, count_basis
-from bgops.f2core import F2Matrix
-from bgops.oracle import bar_boundary_word, bar_words
+from bgops import FiniteGroupTable, bar_homology, count_basis
 
 
 def census(weight: int, degree: int) -> int:
@@ -38,29 +36,10 @@ def census(weight: int, degree: int) -> int:
     return dp.get((degree, weight), 0)
 
 
-def homology_dims(table: FiniteGroupTable, max_degree: int) -> list[int]:
-    """Betti numbers from boundary ranks of the normalized bar complex."""
-    ranks = {}
-    for d in range(1, max_degree + 2):
-        words = bar_words(table, d)
-        below = bar_words(table, d - 1)
-        bidx = {w: i for i, w in enumerate(below)}
-        rows = [0] * len(below)
-        for j, w in enumerate(words):
-            for face in bar_boundary_word(table, w):
-                rows[bidx[face]] ^= 1 << j
-        ranks[d] = F2Matrix(len(below), len(words), tuple(rows)).rank()
-    letters = table.order - 1
-    return [
-        (letters**d if d > 0 else 1) - ranks.get(d, 0) - ranks[d + 1]
-        for d in range(max_degree + 1)
-    ]
-
-
 caps = {1: 3, 2: 3, 3: 3, 4: 2}
 print("weight | degree | census | honest bar homology of B Sigma_n")
 for n, cap in caps.items():
-    dims = homology_dims(FiniteGroupTable.symmetric(n), cap)
+    dims = bar_homology(FiniteGroupTable.symmetric(n), cap, method="bar").dims
     for d in range(cap + 1):
         predicted = census(n, d)
         mark = "ok" if predicted == dims[d] else "MISMATCH"

@@ -262,23 +262,3 @@ class SpanSolver:
         """Combination mask over inserted vectors reproducing v, or None."""
         v, combo = self._reduce(v, 0)
         return combo if v == 0 else None
-
-    def project(self, positions: Sequence[int]) -> "SpanSolver":
-        """The same span, with coordinates over the vectors at ``positions``.
-
-        Bit j of a projected combination is bit ``positions[j]`` of the
-        original one; the other inserted vectors drop out, so coordinates
-        are read modulo their span.  Projecting is linear, so
-        ``project(p).coordinates(v)`` is the projection of
-        ``coordinates(v)``, while the stored combinations shrink to
-        len(positions) bits.
-        """
-        out = SpanSolver()
-        for lead, (v, combo) in self._rows.items():
-            projected = 0
-            for j, pos in enumerate(positions):
-                if (combo >> pos) & 1:
-                    projected |= 1 << j
-            out._rows[lead] = (v, projected)
-        out._count = len(positions)
-        return out

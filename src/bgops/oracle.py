@@ -592,12 +592,11 @@ def _boundary_masks(
         yield mask ^ (1 << rest) ^ (1 << (shift + rest // n_letters))
 
 
-def _kernel(table: FiniteGroupTable, degree: int, image: SpanSolver) -> Iterator[int]:
+def _kernel(table: FiniteGroupTable, degree: int) -> Iterator[int]:
     """The kernel basis of the boundary on ``degree``, in the reduced-echelon
-    order of ``f2_rank_kernel``, streamed: the columns are eliminated into
-    ``image`` as the vectors are pulled, so it spans the image of the
-    columns eliminated so far, with their combinations."""
-    return filter(None, map(image.add_relation, _boundary_masks(table, degree)))
+    order of ``f2_rank_kernel``, streamed: the columns are eliminated as
+    the vectors are pulled."""
+    return filter(None, map(SpanSolver().add_relation, _boundary_masks(table, degree)))
 
 
 def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
@@ -623,7 +622,8 @@ def _boundary_span(table: FiniteGroupTable, degree: int) -> SpanSolver:
     where d[b|w] is in U by induction and the rest by a in S.
     """
     solver = SpanSolver()
-    solver.add_all_modulo(_boundary_masks(table, degree, table.generators))
+    if degree > 1:  # the boundary on degrees 0 and 1 is zero
+        solver.add_all_modulo(_boundary_masks(table, degree, table.generators))
     return solver
 
 
@@ -659,6 +659,26 @@ def _homology_space(
     return BarSpace(table, degree, words, index, reps, boundaries)
 
 
+def _bar_spaces(table: FiniteGroupTable, degrees: range) -> Iterator[BarSpace]:
+    """The ``BarSpace`` of each degree in ``degrees``, in order.
+
+    The boundary on degree d is spanned once, by ``_boundary_span``: its
+    rank gives the cycle count of degree d, and the span is the image
+    that degree d - 1 reads its representatives modulo.  The rank is read
+    before ``_homology_space`` adds degree d - 1's representatives to the
+    span.
+    """
+    if degrees.start < 0:
+        raise ValueError("bar degree must be non-negative")
+    if max(table.order - 1, 1) ** degrees.stop > SIZE_BOUND:
+        raise SizeBoundError("bar complex too large for the requested degree")
+    rank = _boundary_span(table, degrees.start).rank
+    for d in degrees:
+        image = _boundary_span(table, d + 1)
+        cycles, rank = (table.order - 1) ** d - rank, image.rank
+        yield _homology_space(table, d, _kernel(table, d), cycles, image)
+
+
 def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     """Representative cycles of the bar homology in one degree.
 
@@ -681,23 +701,12 @@ def bar_space(table: FiniteGroupTable, degree: int) -> BarSpace:
     by the boundaries of [s|w], s in S (proof at ``_boundary_span``).
 
     The dimension of the kernel is counted first, as the number of words
-    minus the rank of the boundary on ``degree``; that rank is the rank
-    of the boundaries of the words that start with a generator, which
-    span the image (``_boundary_span``), at |S| L^(degree - 1) columns.
-    Once the boundaries and the representatives span that many vectors
-    they span every cycle, so the elimination stops at the last
-    representative (``_homology_space``): the later columns could only
-    give kernel vectors that are no representatives.  The vectors seen
-    and their order are those of the full elimination, so ``reps``,
-    ``dim`` and ``class_coordinates`` are too.
+    minus the rank of the boundary on ``degree`` (``_bar_spaces``), so the
+    elimination stops at the last representative (``_homology_space``).
+    It sees the vectors of the full elimination in the same order, so
+    ``reps``, ``dim`` and ``class_coordinates`` are those of the full one.
     """
-    if degree < 0:
-        raise ValueError("bar degree must be non-negative")
-    if max(table.order - 1, 1) ** (degree + 1) > SIZE_BOUND:
-        raise SizeBoundError("bar complex too large for the requested degree")
-    cycles = (table.order - 1) ** degree - _boundary_span(table, degree).rank
-    kernel = _kernel(table, degree, SpanSolver())
-    return _homology_space(table, degree, kernel, cycles, _boundary_span(table, degree + 1))
+    return next(_bar_spaces(table, range(degree, degree + 1)))
 
 
 @dataclass
@@ -713,40 +722,25 @@ def bar_homology(
     """Mod-2 homology dimensions of BG up to max_degree, with representatives.
 
     ``method`` is "bar" (normalized bar complex), "koszul" (minimal
-    divided-power resolution, elementary abelian groups only) or "auto".
-    The bar method eliminates each boundary map once: the elimination of
-    the boundary on degree d gives the kernel side of degree d and the
-    image side of degree d - 1.
+    divided-power resolution, elementary abelian groups only) or "auto",
+    which takes "bar" when it fits ``SIZE_BOUND`` and "koszul" otherwise.
+    The bar method is ``bar_space`` in each degree 0..max_degree, with
+    every boundary spanned once (``_bar_spaces``).
     """
-    letters = max(table.order - 1, 1)
+    if max_degree < 0:
+        raise ValueError("bar degree must be non-negative")
     # every element is its own inverse exactly when the group is elementary abelian
     elementary = table.inv == tuple(range(table.order))
-    bar_feasible = letters ** (max_degree + 1) <= SIZE_BOUND
     if method == "auto":
-        if bar_feasible:
+        if max(table.order - 1, 1) ** (max_degree + 1) <= SIZE_BOUND:
             method = "bar"
         elif elementary:
             method = "koszul"
         else:
             raise SizeBoundError("bar complex too large and no minimal resolution available")
     if method == "bar":
-        if not bar_feasible:
-            raise SizeBoundError("bar complex too large for the requested degree")
-        dims = []
-        reps: list[list] = []
-        kernels = []
-        spans = []
-        for d in range(max_degree + 1):
-            image = SpanSolver()
-            kernels.append(list(_kernel(table, d, image)))
-            if d:
-                spans.append(image.project(()))
-        spans.append(_boundary_span(table, max_degree + 1))
-        for d, (kernel, span) in enumerate(zip(kernels, spans)):
-            space = _homology_space(table, d, kernel, len(kernel), span)
-            dims.append(space.dim)
-            reps.append(space.rep_chains())
-        return BarHomologyResult(dims, reps, "bar")
+        reps = [space.rep_chains() for space in _bar_spaces(table, range(max_degree + 1))]
+        return BarHomologyResult([len(chains) for chains in reps], reps, "bar")
     if method == "koszul":
         if not elementary:
             raise ValueError("koszul method requires an elementary abelian group")

@@ -16,6 +16,7 @@ the library inserts into a ``SpanSolver``.
 | ``composite_op``                          | ``composite_by_tuples``                            |
 | ``packed_compositions``, ``compositions`` | ``compositions``                                   |
 | ``SpanSolver``                            | ``_rref``, ``span_contains``                       |
+| ``SpanSolver.add_modulo``                 | ``project``                                        |
 | ``f2_rank_kernel``                        | ``rref_kernel``, ``kernel_by_scanning_pivot_rows`` |
 | ``F2Matrix.columns``                      | ``column``                                         |
 | ``transfer_map`` (composed with it)       | ``induced_map``                                    |
@@ -250,6 +251,27 @@ def column(m: F2Matrix, j: int) -> int:
 def span_contains(solver: SpanSolver, v: int) -> bool:
     """Whether v lies in the span of the vectors inserted into ``solver``."""
     return solver.coordinates(v) is not None
+
+
+def project(solver: SpanSolver, positions) -> SpanSolver:
+    """The span of ``solver``, with coordinates over the vectors at
+    ``positions`` only.
+
+    Bit j of a projected combination is bit ``positions[j]`` of the
+    original one; the other inserted vectors drop out, so coordinates are
+    read modulo their span, as after ``add_modulo`` of those vectors.
+    Projecting is linear, so ``project(s, p).coordinates(v)`` is the
+    projection of ``s.coordinates(v)``.
+    """
+    out = SpanSolver()
+    for lead, (v, combo) in solver._rows.items():
+        projected = 0
+        for j, pos in enumerate(positions):
+            if (combo >> pos) & 1:
+                projected |= 1 << j
+        out._rows[lead] = (v, projected)
+    out._count = len(positions)
+    return out
 
 
 # ---------------------------------------------------------------------------

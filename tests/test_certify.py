@@ -60,6 +60,20 @@ def test_aut_twisted_example():
     assert cert.stability.vanishing_bound == (2, 7)  # dies for rank > 2*2+3
 
 
+def test_degree_zero_classes_lie_in_the_stabilization_image():
+    # the weight-1 class of degree 0 is the unit, so it is stable: it is
+    # in the image of stabilization, and AffF2 claims no instability
+    for target in (Target.HOL_ORDINARY, Target.HOL_UNSTABLE, Target.AFF_F2):
+        cert = build_certificate(target, Z2, [(1, ONE_WORD)])
+        assert isinstance(cert, Certificate), target
+        assert cert.degree == 0
+        assert cert.stability.not_in_stabilization_image is False, target
+        assert cert.to_json()["stability"]["not_in_stabilization_image"] is False
+    aff = build_certificate(Target.AFF_F2, Z2, [(1, ONE_WORD)]).stability
+    assert aff.unstable is False
+    assert aff.vanishing_bound is None
+
+
 def test_group_hypotheses():
     with pytest.raises(GroupHypothesisError):
         build_certificate(Target.AFF_F2, Torus(1), [(2, E[1])])

@@ -11,7 +11,14 @@ from bgops.f2core import (
     f2_rank_kernel,
     multinomial_parity,
 )
-from references import _rref, column, kernel_by_scanning_pivot_rows, rref_kernel, span_contains
+from references import (
+    _rref,
+    column,
+    kernel_by_scanning_pivot_rows,
+    project,
+    rref_kernel,
+    span_contains,
+)
 
 
 def pascal_mod2_table(limit):
@@ -181,7 +188,7 @@ def test_projected_solver_coordinates_are_projections(case, data):
         solver.add(v)
     indices = st.sampled_from(range(len(vectors))) if vectors else st.nothing()
     positions = data.draw(st.lists(indices, unique=True))
-    projected = solver.project(positions)
+    projected = project(solver, positions)
     assert projected.rank == solver.rank
     for v in list(vectors) + probes:
         combo = solver.coordinates(v)
@@ -232,7 +239,7 @@ def test_modulo_vectors_get_no_coordinate(case):
     # both solvers store the same reduced vectors, so the coordinates over
     # the tracked vectors are the full solver's, projected onto them
     positions = range(half, len(vectors))
-    projected = full.project(positions)
+    projected = project(full, positions)
     assert solver.rank == full.rank
     for v in list(vectors) + probes:
         assert solver.coordinates(v) == projected.coordinates(v)

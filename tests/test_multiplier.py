@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgops.gradedalg import (
@@ -168,6 +168,15 @@ def test_closed_circle_and_su2_terms_match_the_round_trips():
     for n1 in range(201):
         for n2 in range(201 - n1):
             assert multiplier_terms(Torus(1), (n1, n2)) == circle_by_halving((n1, n2)), (n1, n2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**4))
+@example(201)  # alpha(SU2, 1, x^[201]) is u_51
+def test_su2_alpha_is_the_action_on_the_unit_for_large_exponents(n):
+    # the round trip above stops at n = 200
+    a = DPClass.monomial(GeneratorSet.v_basis(1), (n,))
+    assert alpha(SU2(), 1, a, CoefficientClass.unit(SU2())).terms == su2_by_action((n,))
 
 
 def rank_one_by_binomials(mono: tuple[int, ...]) -> frozenset:

@@ -453,6 +453,16 @@ def test_phi_accepts_non_generator_words():
     assert out == dp_coeff(Z2, 7)
 
 
+def test_weight_128_operation_on_an_indecomposable_word():
+    # E_1 o E_2 o E_4 o ... o E_64 has weight 2^7 and the preimage
+    # x1^[1] x2^[2] ... x7^[64], whose rank-7 multiplier is x^[127]
+    word = CircWord.of(1, 2, 4, 8, 16, 32, 64)
+    out = phi_sigma(Z2, 128, SymClass.single(word), unit(Z2))
+    assert out == dp_coeff(Z2, 127)
+    preimage = DPClass.monomial(GeneratorSet.v_basis(7), word.subscripts)
+    assert out == alpha(Z2, 7, preimage, unit(Z2))
+
+
 def test_composite_examples():
     e1 = SymClass.single(CircWord.of(1))
     e2 = SymClass.single(CircWord.of(2))

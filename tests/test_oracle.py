@@ -42,6 +42,7 @@ from references import (
     cross_chains,
     induced_map,
     kernel_by_scanning_pivot_rows,
+    project,
     rref_kernel,
     span_contains,
 )
@@ -280,6 +281,15 @@ def test_homology_dims_match_kernel_and_rank_route():
             expected.append(cycles - len(_rref(list(image.data), image.cols)[0]))
         assert homology_dims(boundaries) == expected, k
         assert expected == [math.comb(d + k - 1, k - 1) for d in range(9)]
+
+
+def test_negative_degree_is_refused_by_every_method():
+    v2 = FiniteGroupTable.elementary_abelian(2)
+    for method in ("bar", "koszul", "auto"):
+        with pytest.raises(ValueError, match="bar degree must be non-negative"):
+            bar_homology(v2, -1, method=method)
+    with pytest.raises(ValueError, match="bar degree must be non-negative"):
+        bar_space(v2, -1)
 
 
 def test_bar_size_guard():
@@ -1064,7 +1074,7 @@ def bar_space_by_rref(table, degree):
         if solver.add(v):
             reps.append(v)
             rep_positions.append(pos)
-    return oracle.BarSpace(table, degree, words, index, reps, solver.project(rep_positions))
+    return oracle.BarSpace(table, degree, words, index, reps, project(solver, rep_positions))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1190,13 +1200,15 @@ def test_class_coordinates_match_rref_route(case, data):
 
 
 def test_bar_homology_matches_rref_route():
+    # and matches bar_space in each degree, whose spans it shares
     for name, table in BAR_TABLES.items():
         top = bar_degrees(table)[-1]
         result = bar_homology(table, top, method="bar")
+        assert len(result.dims) == len(result.reps) == top + 1, name
         for d in range(top + 1):
-            _, reference = both_spaces(table, d)
-            assert result.dims[d] == reference.dim, (name, d)
-            assert result.reps[d] == reference.rep_chains(), (name, d)
+            space, reference = both_spaces(table, d)
+            assert result.dims[d] == space.dim == reference.dim, (name, d)
+            assert result.reps[d] == space.rep_chains() == reference.rep_chains(), (name, d)
 
 
 def test_transfer_and_induced_maps_match_rref_route(monkeypatch):
@@ -1321,7 +1333,7 @@ def test_cycle_count_is_the_dimension_of_the_kernel(monkeypatch):
     cases = [(BAR_TABLES[name], d) for name, d in BAR_CASES] + [(trivial, d) for d in range(3)]
     for table, d in cases:
         bar_space(table, d)
-        full = list(oracle._kernel(table, d, SpanSolver()))
+        full = list(oracle._kernel(table, d))
         assert counts.pop() == len(full), (table, d)
     assert [bar_space(trivial, d).dim for d in range(3)] == [1, 0, 0]
 
